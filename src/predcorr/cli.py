@@ -34,6 +34,7 @@ from .config import (
     available_presets,
     build_problem,
     build_x0,
+    check_seed,
     constants_for,
     resolve_configs,
     resolve_steps,
@@ -322,8 +323,7 @@ def _solver_by_algorithm(config: ExperimentConfig, algorithm: str) -> Optional[S
     return None
 
 
-def _trace_for_check(config, args, solver, h, steps, x0, need_gap, store=False) -> Trace:
-    problem = build_problem(config, args.ratings, h=h)
+def _trace_for_check(config, problem, solver, h, steps, x0, need_gap, store=False) -> Trace:
     return run(
         problem,
         solver,
@@ -351,7 +351,8 @@ def check_pl_envelope(config: ExperimentConfig, args) -> list[CheckOutcome]:
     x0 = build_x0(config, problem0, seed=args.seed)
     outcomes = []
     for h, steps in resolve_steps(config, problem0):
-        trace = _trace_for_check(config, args, solver, h, steps, x0, need_gap=True)
+        problem = problem0 if h == config.grid[0][0] else build_problem(config, args.ratings, h=h)
+        trace = _trace_for_check(config, problem, solver, h, steps, x0, need_gap=True)
         g2 = constants.G2 if constants.G2 is not None else _auto_g2(config, trace)
         if g2 is None:
             raise ConfigError("pl_envelope needs constants G2 (set key G2=)")
@@ -377,7 +378,7 @@ def check_post_convergence_cmd(config: ExperimentConfig, args) -> list[CheckOutc
         if solver.algorithm not in (TVGD, FOA_MIN):
             continue
         found = True
-        trace = _trace_for_check(config, args, solver, h, steps, x0, need_gap=True)
+        trace = _trace_for_check(config, problem0, solver, h, steps, x0, need_gap=True)
         g2 = constants.G2 if constants.G2 is not None else _auto_g2(config, trace)
         cst = analysis.ProblemConstants(
             L1=constants.L1, L2=constants.L2, L3=constants.L3, G2=g2, mu=constants.mu
@@ -408,18 +409,21 @@ _RATIO_DEFAULTS = {TVGD: (1.6, 2.4), FOA_MIN: (3.0, 5.0), CP: (3.0, 5.0)}
 
 
 def check_prediction_gap_cmd(config: ExperimentConfig, args) -> list[CheckOutcome]:
-    problem = build_problem(config, args.ratings, h=config.grid[0][0])
-    grid_list = resolve_steps(config, problem)
+    problem_h = build_problem(config, args.ratings, h=config.grid[0][0])
+    grid_list = resolve_steps(config, problem_h)
     h, steps = grid_list[0]
-    x0 = build_x0(config, problem, seed=args.seed)
+    x0 = build_x0(config, problem_h, seed=args.seed)
+    problem_f = build_problem(config, args.ratings, h=h / 2)
     outcomes = []
     for solver in config.solvers:
         if solver.algorithm == UFOPC:
             continue
-        tr_c = _trace_for_check(config, args, solver, h, steps, x0, need_gap=False, store=True)
-        tr_f = _trace_for_check(config, args, solver, h / 2, steps, x0, need_gap=False, store=True)
-        problem_h = build_problem(config, args.ratings, h=h)
-        problem_f = build_problem(config, args.ratings, h=h / 2)
+        tr_c = _trace_for_check(
+            config, problem_h, solver, h, steps, x0, need_gap=False, store=True
+        )
+        tr_f = _trace_for_check(
+            config, problem_f, solver, h / 2, steps, x0, need_gap=False, store=True
+        )
         inc_c = analysis.max_prediction_increase(problem_h, tr_c)
         inc_f = analysis.max_prediction_increase(problem_f, tr_f)
         ratio = float("inf") if inc_f == 0 else inc_c / inc_f
@@ -525,6 +529,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         configs = resolve_configs(args.config)
         if args.seed is not None:
+            check_seed("--seed", args.seed)
             for c in configs:
                 c.seed = args.seed
         multi = len(configs) > 1

@@ -11,6 +11,7 @@ are addressed by bare name (``table2``, ``table5``, ``table7_gm``,
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -93,12 +94,42 @@ class ExperimentConfig:
         return {"auto": None, "always": True, "never": False}[self.compute_gap]
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v.strip() != ""]
+def _number(key: str, text: str, cast=float):
+    """Cast one config value to ``float`` or ``int``, naming the key on error.
+
+    Integers may also be written as integral floats (``1e3``), but not as
+    fractions (``2.5``).
+    """
+    text = text.strip()
+    if cast is int:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    try:
+        value = float(text)
+    except ValueError:
+        raise ConfigError(f"{key} must be a number, got {text!r}") from None
+    if cast is float:
+        return value
+    if not value.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {text!r}")
+    return int(value)
+
+
+def check_seed(key: str, seed: int) -> int:
+    """Reject seeds the package generator cannot take as a key."""
+    if not 0 <= seed < 2**128:
+        raise ConfigError(f"{key} must lie in [0, 2**128), got {seed}")
+    return seed
+
+
+def _parse_floats(text: str, key: str) -> list[float]:
+    return [_number(key, v) for v in text.split(",") if v.strip() != ""]
 
 
 def _parse_grid(h_text: str, steps_text: str) -> list[tuple[float, object]]:
-    hs = _parse_floats(h_text)
+    hs = _parse_floats(h_text, "h")
     steps_items = [s.strip() for s in steps_text.split(",") if s.strip() != ""]
     if len(hs) != len(steps_items):
         raise ConfigError(
@@ -106,10 +137,15 @@ def _parse_grid(h_text: str, steps_text: str) -> list[tuple[float, object]]:
         )
     grid: list[tuple[float, object]] = []
     for h, s in zip(hs, steps_items):
+        if not (math.isfinite(h) and h > 0):
+            raise ConfigError(f"h must be a finite number > 0, got {h}")
         if s == "auto":
             grid.append((h, "auto"))
-        else:
-            grid.append((h, int(float(s))))
+            continue
+        steps = _number("steps", s, int)
+        if steps < 1:
+            raise ConfigError(f"steps must be >= 1, got {steps}")
+        grid.append((h, steps))
     return grid
 
 
@@ -155,35 +191,38 @@ def parse_config(path_or_text, is_text: bool = False, source: str = "") -> Exper
         if c not in CHECK_NAMES:
             raise ConfigError(f"unknown check {c!r}; expected one of {CHECK_NAMES}")
 
+    def num(key, default, cast=float):
+        return _number(key, exp.get(key, default), cast)
+
     overrides = {}
     for key in ("L1", "L2", "L3", "G2", "mu", "Z"):
         if key in exp:
-            overrides[key] = float(exp[key])
+            overrides[key] = _number(key, exp[key])
 
     check_params = {}
     if "trials" in exp:
-        check_params["trials"] = int(exp["trials"])
-    if "ratio_min" in exp:
-        check_params["ratio_min"] = float(exp["ratio_min"])
-    if "ratio_max" in exp:
-        check_params["ratio_max"] = float(exp["ratio_max"])
+        check_params["trials"] = _number("trials", exp["trials"], int)
+    for key in ("ratio_min", "ratio_max"):
+        if key in exp:
+            check_params[key] = _number(key, exp[key])
 
+    seed = check_seed("seed", num("seed", "0", int))
     mf_params = {
-        "latent_dim": int(exp.get("mf_latent_dim", "20")),
-        "reg": float(exp.get("mf_reg", "0.01")),
-        "reveal_per_step": int(exp.get("mf_reveal_per_step", "10")),
-        "initial_revealed": int(exp.get("mf_initial_revealed", "100000")),
-        "min_user": int(exp.get("mf_min_user", "0")),
-        "min_item": int(exp.get("mf_min_item", "0")),
+        "latent_dim": num("mf_latent_dim", "20", int),
+        "reg": num("mf_reg", "0.01"),
+        "reveal_per_step": num("mf_reveal_per_step", "10", int),
+        "initial_revealed": num("mf_initial_revealed", "100000", int),
+        "min_user": num("mf_min_user", "0", int),
+        "min_item": num("mf_min_item", "0", int),
         "reg_normalized": exp.get("mf_reg_normalized", "true").lower() in ("true", "1", "yes"),
     }
     synth_params = {
-        "n_users": int(exp.get("synth_users", "80")),
-        "n_items": int(exp.get("synth_items", "70")),
-        "n_ratings": int(exp.get("synth_ratings", "40000")),
-        "latent_dim": int(exp.get("synth_latent_dim", "5")),
-        "noise_sd": float(exp.get("synth_noise_sd", "0.3")),
-        "seed": int(exp.get("synth_seed", exp.get("seed", "0"))),
+        "n_users": num("synth_users", "80", int),
+        "n_items": num("synth_items", "70", int),
+        "n_ratings": num("synth_ratings", "40000", int),
+        "latent_dim": num("synth_latent_dim", "5", int),
+        "noise_sd": num("synth_noise_sd", "0.3"),
+        "seed": check_seed("synth_seed", num("synth_seed", str(seed), int)),
     }
 
     solvers = []
@@ -202,12 +241,14 @@ def parse_config(path_or_text, is_text: bool = False, source: str = "") -> Exper
         if "algorithm" not in raw:
             raise ConfigError(f"[{section}] is missing 'algorithm'")
         kwargs = {"algorithm": raw["algorithm"], "name": name}
+        if "g_choice" in raw:
+            kwargs["g_choice"] = raw["g_choice"]
         for key, cast in (
             ("C", int), ("beta", float), ("P", int), ("alpha", float),
-            ("gamma", float), ("zeta", float), ("delta", float), ("g_choice", str),
+            ("gamma", float), ("zeta", float), ("delta", float),
         ):
             if key in raw:
-                kwargs[key] = cast(raw[key])
+                kwargs[key] = _number(f"[{section}] {key}", raw[key], cast)
         try:
             solvers.append(SolverConfig(**kwargs))
         except ValueError as exc:
@@ -218,11 +259,11 @@ def parse_config(path_or_text, is_text: bool = False, source: str = "") -> Exper
         grid=grid,
         solvers=solvers,
         x0_spec=exp.get("x0", "randn"),
-        seed=int(exp.get("seed", "0")),
+        seed=seed,
         out=exp.get("out", "out"),
         compute_gap=compute_gap,
         timing=timing,
-        warm_beta=float(exp.get("warm_beta", "10.0")),
+        warm_beta=num("warm_beta", "10.0"),
         checks=checks,
         constants_overrides=overrides,
         check_params=check_params,
@@ -331,10 +372,10 @@ def build_x0(
     if spec.startswith("warm:"):
         if config.problem not in (MF_FILE, MF_SYNTH):
             raise ConfigError("warm: initial points are only defined for mf problems")
-        level = float(spec[len("warm:"):])
+        level = _number("x0", spec[len("warm:"):])
         x0, _ = mf_warm_start(problem, level, seed=s, beta=config.warm_beta)
         return x0
-    values = _parse_floats(spec)
+    values = _parse_floats(spec, "x0")
     if len(values) == 1 and problem.dim > 1:
         return np.full(problem.dim, values[0])
     if len(values) != problem.dim:

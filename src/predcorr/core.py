@@ -79,7 +79,10 @@ class ProblemOracle:
     Iterates whose norm exceeds ``domain_guard`` are declared diverged by
     the solver loop; problems that leave it unset get the run-time default
     ``1e8 * (1 + ||x0||)``.  Oracles are pure functions of (x, t); instances
-    are immutable and safe to share between concurrent runs.
+    are immutable and safe to share between concurrent runs.  An instance
+    may memoize its pieces that depend on time alone (a moving target, a
+    time-varying diagonal) for its two most recent times; that never
+    changes a result, and returned arrays stay the caller's to modify.
     """
 
     dim: int

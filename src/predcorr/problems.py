@@ -17,6 +17,7 @@ backward differences are well defined from the very first step.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,6 +36,24 @@ _IDX = np.arange(1, 11)          # benchmark coordinates are indexed 1..10
 _PHASE = 2.0 * np.pi * _IDX / 10.0
 _COSP = np.cos(_PHASE)
 _SINP = np.sin(_PHASE)
+
+
+def _time_frame(diag, b):
+    """Memoized ``t -> (diag(t), b(t))`` for one problem instance.
+
+    The two most recent times are kept: cp with the extrapolated gradient
+    and ufopc alternate between t and t - h within a step.  The arrays are
+    read-only because every caller at the same time shares them.
+    """
+
+    @functools.lru_cache(maxsize=2)
+    def frame(t):
+        pieces = diag(t), b(t)
+        for a in pieces:
+            a.flags.writeable = False
+        return pieces
+
+    return frame
 
 
 def _numeric_optimum(value, grad_x, dim, lipschitz, tol=1e-10, max_iters=100_000):
@@ -156,25 +175,29 @@ def make_linreg(variant: str = LINREG_STATIC) -> ProblemOracle:
         def diag_dot(t):
             return np.zeros(10)
 
+    frame = _time_frame(diag, _b_linreg)
+
     def value(x, t):
-        r = diag(t) * x - _b_linreg(t)
+        a, b = frame(t)
+        r = a * x - b
         return 0.5 * float(r @ r)
 
     def grad_x(x, t):
-        a = diag(t)
-        return a * (a * x - _b_linreg(t))
+        a, b = frame(t)
+        return a * (a * x - b)
 
     def grad_t(x, t):
-        r = diag(t) * x - _b_linreg(t)
+        a, b = frame(t)
+        r = a * x - b
         return float(r @ (diag_dot(t) * x - _bdot_linreg(t)))
 
     def hess_xx(x, t):
-        a = diag(t)
+        a, _ = frame(t)
         return np.diag(a * a)
 
     def optimum(t, x_hint=None):
-        xs = _b_linreg(t) / diag(t)
-        return xs, 0.0
+        a, b = frame(t)
+        return b / a, 0.0
 
     return ProblemOracle(
         dim=10,
@@ -295,20 +318,24 @@ def make_robust(loss: str = ROBUST_GM) -> ProblemOracle:
         s, c = np.sin(t / 100.0), np.cos(t / 100.0)
         return 0.5 * (c * _COSP - s * _SINP)
 
+    frame = _time_frame(diag, b)
+
     def value(x, t):
-        return float(np.sum(ell(diag(t) * x - b(t))))
+        a, bt = frame(t)
+        return float(ell(a * x - bt).sum())
 
     def grad_x(x, t):
-        a = diag(t)
-        return ell_d1(a * x - b(t)) * a
+        a, bt = frame(t)
+        return ell_d1(a * x - bt) * a
 
     def grad_t(x, t):
-        r = diag(t) * x - b(t)
+        a, bt = frame(t)
+        r = a * x - bt
         return float(ell_d1(r) @ (diag_dot(t) * x - bdot(t)))
 
     def hess_xx(x, t):
-        a = diag(t)
-        return np.diag(ell_d2(a * x - b(t)) * a * a)
+        a, bt = frame(t)
+        return np.diag(ell_d2(a * x - bt) * a * a)
 
     return ProblemOracle(
         dim=10,

@@ -97,6 +97,40 @@ class TestConfigParsing:
         assert cfg.solvers[0].label == "foa_min"
 
 
+class TestMalformedNumbers:
+    """Bad numeric values end in exit 1 and a single ``error:`` line."""
+
+    @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ("seed = 0", "seed = abc", "seed"),
+            ("seed = 0", "seed = -1", "seed"),
+            ("h = 0.1", "h = -0.1", "h"),
+            ("h = 0.1", "h = nan", "h"),
+            ("steps = 50", "steps = 0", "steps"),
+            ("steps = 50", "steps = 2.5", "steps"),
+            ("C = 1", "C = one", "C"),
+            ("beta = 1.0", "beta = fast", "beta"),
+            ("x0 = 8.0", "x0 = abc", "x0"),
+        ],
+    )
+    def test_exit_1_with_one_error_line(self, tmp_path, capsys, old, new, key):
+        cfg = write_config(tmp_path, TOY_RUN.replace(old, new))
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.strip().split("\n")
+        assert code == EXIT_USAGE
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+
+    def test_negative_seed_override(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, TOY_RUN)
+        assert main(["run", "--config", cfg, "--seed", "-1"]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: --seed")
+
+    def test_integral_float_steps_accepted(self, tmp_path):
+        cfg = parse_config(write_config(tmp_path, TOY_RUN.replace("steps = 50", "steps = 5e1")))
+        assert cfg.grid == [(0.1, 50)]
+
+
 class TestPresets:
     def test_table5_matches_published_parameters(self):
         (cfg,) = resolve_configs("table5")

@@ -28,6 +28,56 @@ from predcorr.problems import (
 from predcorr.ratings import RatingsDataset
 
 
+MEMO_PROBLEMS = {
+    "toy": make_toy,
+    "linreg_static": lambda: make_linreg("linreg_static"),
+    "linreg_drift": lambda: make_linreg("linreg_drift"),
+    "robust_gm": lambda: make_robust("robust_gm"),
+    "robust_welsch": lambda: make_robust("robust_welsch"),
+}
+
+
+def oracle_outputs(p, x, t):
+    """Every oracle result at (x, t); the optimum only when closed form."""
+    out = [p.value(x, t), p.grad_x(x, t), p.grad_t(x, t), p.hess_xx(x, t)]
+    if p.optimum_kind == "closed_form":
+        out += list(p.optimum(t, x))
+    return out
+
+
+class TestTimeFrameMemo:
+    """One instance reused along interleaved times (cache hits, misses and
+    evictions) agrees bit for bit with a fresh instance at every call."""
+
+    @pytest.mark.parametrize("name", sorted(MEMO_PROBLEMS))
+    def test_interleaved_times_match_fresh_instances(self, name):
+        make = MEMO_PROBLEMS[name]
+        shared = make()
+        rng = np.random.default_rng(5)
+        t, h = 1.7, 0.05
+        for s in (t, t - h, t, t + h, t - h, t + 2 * h, t + h, t, 0.0, -h, 0.0, t + h):
+            x = 3.0 * rng.standard_normal(shared.dim)
+            got = oracle_outputs(shared, x, s)
+            want = oracle_outputs(make(), x, s)
+            for g, w in zip(got, want):
+                assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(MEMO_PROBLEMS))
+    def test_writing_into_results_leaves_next_call_unchanged(self, name):
+        p = MEMO_PROBLEMS[name]()
+        x, t = np.full(p.dim, 0.5), 0.3
+        for oracle in (p.grad_x, p.hess_xx):
+            first = oracle(x, t)
+            want = first.copy()
+            first[...] = 1e9
+            assert np.array_equal(oracle(x, t), want)
+        if p.optimum_kind == "closed_form":
+            xs, _ = p.optimum(t)
+            want = xs.copy()
+            xs[...] = 1e9
+            assert np.array_equal(p.optimum(t)[0], want)
+
+
 class TestToy:
     def test_value_at_start(self):
         toy = make_toy()

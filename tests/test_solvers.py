@@ -35,6 +35,17 @@ def toy_x0():
     return np.array([8.0])
 
 
+def counting_grad(problem):
+    """The same problem with ``grad_x`` counting its calls in a 1-list."""
+    calls = [0]
+
+    def grad_x(x, t):
+        calls[0] += 1
+        return problem.grad_x(x, t)
+
+    return replace(problem, grad_x=grad_x), calls
+
+
 class TestSolverConfig:
     def test_rejects_unknown_algorithm(self):
         with pytest.raises(ValueError, match="algorithm"):
@@ -78,6 +89,14 @@ class TestCorrect:
     def test_toy_hand_step(self):
         out = correct(make_toy(), toy_x0(), 0.0, C=1, beta=1.0)
         assert out[0] == pytest.approx(8.0 - (0.8 + math.cos(8.0)), rel=1e-15)
+
+    def test_given_entry_gradient_replaces_first_evaluation(self):
+        p = make_linreg("linreg_static")
+        x = np.linspace(-1.0, 1.0, 10)
+        counted, calls = counting_grad(p)
+        out = correct(counted, x, 0.3, C=2, beta=0.01, grad=p.grad_x(x, 0.3))
+        assert calls == [1]
+        assert np.array_equal(out, correct(p, x, 0.3, C=2, beta=0.01))
 
     def test_nonfinite_raises(self):
         def value(x, t):
@@ -386,3 +405,35 @@ class TestRun:
                 TimeGrid(0.1, 2),
                 np.zeros(3),
             )
+
+
+class TestOracleBudget:
+    """Exact ``grad_x`` calls per step of ``run()``: one entry gradient,
+    which doubles as the first correction gradient, C - 1 further
+    correction gradients, then the predictor's own calls."""
+
+    @pytest.mark.parametrize(
+        "config, first, later",
+        [
+            (SolverConfig(TVGD, C=3, beta=0.01), 3, 3),
+            (SolverConfig(FOA_MIN, C=2, beta=0.01), 3, 3),
+            (SolverConfig(CP, C=2, beta=0.01, g_choice="plain"), 3, 3),
+            (SolverConfig(CP, C=2, beta=0.01, g_choice="extrapolated"), 3, 4),
+            (SolverConfig(UFOPC, C=2, beta=0.01, P=3, alpha=0.01), 4, 4),
+            (SolverConfig(UFOPC, C=2, beta=0.01, P=0), 2, 2),
+            (SolverConfig(TVGD, C=0), 1, 1),
+            (SolverConfig(FOA_MIN, C=0), 2, 2),
+            (SolverConfig(CP, C=0, g_choice="extrapolated"), 2, 3),
+            (SolverConfig(UFOPC, C=0, P=3, alpha=0.01), 3, 3),
+        ],
+        ids=lambda v: v.algorithm + f"-C{v.C}-P{v.P}-{v.g_choice}"
+        if isinstance(v, SolverConfig) else None,
+    )
+    def test_grad_x_calls_per_step(self, config, first, later):
+        problem, calls = counting_grad(make_linreg("linreg_static"))
+        x0 = np.linspace(-2.0, 2.0, 10)
+        for steps in (1, 5):
+            calls[0] = 0
+            trace = run(problem, config, TimeGrid(0.1, steps), x0, compute_gap=False)
+            assert not trace.diverged
+            assert calls[0] == first + (steps - 1) * later
