@@ -16,6 +16,7 @@ Exit codes: 0 success, 1 usage or configuration error, 2 divergence without
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 import tempfile
@@ -30,24 +31,17 @@ from . import analysis
 from .config import (
     ConfigError,
     ExperimentConfig,
-    LINREG_STATIC,
     available_presets,
     build_problem,
     build_x0,
     check_seed,
-    constants_for,
+    load_dataset,
     resolve_configs,
     resolve_steps,
 )
-from .core import MissingOracleError, TimeGrid, finite_difference_check
-from .problems import (
-    linreg_g2_from_values,
-    make_linreg,
-    make_mf,
-    make_robust,
-    make_toy,
-)
-from .ratings import synth_ratings
+from .core import MissingOracleError, ProblemOracle, TimeGrid, finite_difference_check
+from .problems import make_linreg, make_mf, make_robust, make_toy
+from .ratings import RatingsDataset, synth_ratings
 from .solvers import CP, FOA_MIN, TVGD, UFOPC, SolverConfig, Trace, run
 
 EXIT_OK = 0
@@ -104,19 +98,35 @@ def trace_csv(trace: Trace, live_timing: bool) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Run jobs (top-level so a process pool can pickle them)
+# Per-command set-up and run jobs (top-level so a process pool can pickle them)
 # ---------------------------------------------------------------------------
+
+@dataclass
+class Setup:
+    """What every command needs before its first solver step."""
+
+    dataset: Optional[RatingsDataset]
+    problem: ProblemOracle                 # built at the first period
+    grid: list[tuple[float, int]]          # step counts resolved
+    x0: np.ndarray
+
+
+def _setup(config: ExperimentConfig, args) -> Setup:
+    """Load the dataset once, build the first-period problem and x0."""
+    dataset = load_dataset(config, args.ratings)
+    problem = build_problem(config, dataset, h=config.grid[0][0])
+    return Setup(dataset, problem, resolve_steps(config, problem), build_x0(config, problem))
+
 
 @dataclass
 class RunJob:
     config: ExperimentConfig
-    ratings: Optional[str]
+    dataset: Optional[RatingsDataset]
     solver: SolverConfig
     h: float
     steps: int
     x0: np.ndarray
     keep_rows: bool
-    store_iterates: bool = False
 
 
 @dataclass
@@ -133,19 +143,11 @@ class RunResult:
 
 
 def _execute(job: RunJob) -> RunResult:
-    problem = build_problem(job.config, job.ratings, h=job.h)
+    problem = build_problem(job.config, job.dataset, h=job.h)
     grid = TimeGrid(job.h, job.steps)
-    trace = run(
-        problem,
-        job.solver,
-        grid,
-        job.x0,
-        compute_gap=job.config.gap_flag(),
-        store_iterates=job.store_iterates,
-    )
-    tail = None
-    if not trace.diverged and len(trace) >= 2:
-        tail = analysis.tail_stats(trace)
+    gap = job.config.gap_flag()
+    trace = run(problem, job.solver, grid, job.x0, compute_gap=gap, store_iterates=False)
+    tail = analysis.tail_stats(trace) if not trace.diverged and len(trace) >= 2 else None
     return RunResult(
         label=job.solver.label,
         h=job.h,
@@ -176,14 +178,10 @@ def _out_dir(config: ExperimentConfig, args, multi: bool) -> Path:
 
 
 def cmd_run(config: ExperimentConfig, args, multi: bool) -> int:
-    problem = build_problem(config, args.ratings, h=config.grid[0][0])
-    grid_list = resolve_steps(config, problem)
-    h, steps = grid_list[0]
-    x0 = build_x0(config, problem, seed=args.seed)
-    seed = config.seed if args.seed is None else args.seed
-
+    setup = _setup(config, args)
+    h, steps = setup.grid[0]
     jobs = [
-        RunJob(config, args.ratings, s, h, steps, x0, keep_rows=True, store_iterates=False)
+        RunJob(config, setup.dataset, s, h, steps, setup.x0, keep_rows=True)
         for s in config.solvers
     ]
     results = _execute_all(jobs, args.jobs)
@@ -230,14 +228,11 @@ def fit_sweep_orders(table: dict[str, dict[float, analysis.TailStats]]):
 def cmd_sweep(config: ExperimentConfig, args, multi: bool) -> int:
     if len(config.grid) < 3:
         print("[sweep] warning: fewer than 3 grid points; slopes are not fitted", file=sys.stderr)
-    problem0 = build_problem(config, args.ratings, h=config.grid[0][0])
-    grid_list = resolve_steps(config, problem0)
-    x0 = build_x0(config, problem0, seed=args.seed)
-
+    setup = _setup(config, args)
     jobs = [
-        RunJob(config, args.ratings, s, h, steps, x0, keep_rows=False)
+        RunJob(config, setup.dataset, s, h, steps, setup.x0, keep_rows=False)
         for s in config.solvers
-        for (h, steps) in grid_list
+        for (h, steps) in setup.grid
     ]
     results = _execute_all(jobs, args.jobs)
 
@@ -296,10 +291,10 @@ def _fd_problem_suite():
     ]
 
 
-def check_gradients(config: ExperimentConfig, seed: int) -> list[CheckOutcome]:
+def check_gradients(config: ExperimentConfig, setup: Optional[Setup]) -> list[CheckOutcome]:
     outcomes = []
     for problem in _fd_problem_suite():
-        rep = finite_difference_check(problem, samples=8, seed=seed)
+        rep = finite_difference_check(problem, samples=8, seed=config.seed)
         worst = rep.grad_x_max_rel
         ok = rep.grad_x_max_rel < GRAD_TOL
         detail = f"grad {rep.grad_x_max_rel:.2e}"
@@ -316,44 +311,26 @@ def check_gradients(config: ExperimentConfig, seed: int) -> list[CheckOutcome]:
     return outcomes
 
 
-def _solver_by_algorithm(config: ExperimentConfig, algorithm: str) -> Optional[SolverConfig]:
-    for s in config.solvers:
-        if s.algorithm == algorithm:
-            return s
-    return None
-
-
 def _trace_for_check(config, problem, solver, h, steps, x0, need_gap, store=False) -> Trace:
-    return run(
-        problem,
-        solver,
-        TimeGrid(h, steps),
-        x0,
-        compute_gap=True if need_gap else config.gap_flag(),
-        store_iterates=store,
-    )
+    gap = True if need_gap else config.gap_flag()
+    return run(problem, solver, TimeGrid(h, steps), x0, compute_gap=gap, store_iterates=store)
 
 
-def _auto_g2(config: ExperimentConfig, trace: Trace) -> Optional[float]:
-    if config.problem == LINREG_STATIC:
-        return linreg_g2_from_values(trace.f_pred)
-    return None
-
-
-def check_pl_envelope(config: ExperimentConfig, args) -> list[CheckOutcome]:
-    solver = _solver_by_algorithm(config, TVGD)
+def check_pl_envelope(config: ExperimentConfig, setup: Setup) -> list[CheckOutcome]:
+    solver = next((s for s in config.solvers if s.algorithm == TVGD), None)
     if solver is None:
         raise ConfigError("pl_envelope needs a [solver ...] section with algorithm = tvgd")
-    constants = constants_for(config)
-    if constants.mu is None or constants.L1 is None:
-        raise ConfigError("pl_envelope needs constants mu and L1 (set keys mu=, L1=)")
-    problem0 = build_problem(config, args.ratings, h=config.grid[0][0])
-    x0 = build_x0(config, problem0, seed=args.seed)
+    constants = config.constants
+    if not constants.mu or constants.L1 is None:
+        raise ConfigError("pl_envelope needs constants mu > 0 and L1 (set keys mu=, L1=)")
     outcomes = []
-    for h, steps in resolve_steps(config, problem0):
-        problem = problem0 if h == config.grid[0][0] else build_problem(config, args.ratings, h=h)
-        trace = _trace_for_check(config, problem, solver, h, steps, x0, need_gap=True)
-        g2 = constants.G2 if constants.G2 is not None else _auto_g2(config, trace)
+    for h, steps in setup.grid:
+        problem = (
+            setup.problem if h == config.grid[0][0]
+            else build_problem(config, setup.dataset, h=h)
+        )
+        trace = _trace_for_check(config, problem, solver, h, steps, setup.x0, need_gap=True)
+        g2 = config.g2(trace.f_pred)
         if g2 is None:
             raise ConfigError("pl_envelope needs constants G2 (set key G2=)")
         cst = analysis.ProblemConstants(L1=constants.L1, mu=constants.mu, G2=g2)
@@ -366,23 +343,24 @@ def check_pl_envelope(config: ExperimentConfig, args) -> list[CheckOutcome]:
     return outcomes
 
 
-def check_post_convergence_cmd(config: ExperimentConfig, args) -> list[CheckOutcome]:
-    constants = constants_for(config)
+def check_post_convergence_cmd(config: ExperimentConfig, setup: Setup) -> list[CheckOutcome]:
+    solvers = [s for s in config.solvers if s.algorithm in (TVGD, FOA_MIN)]
+    if not solvers:
+        raise ConfigError("post_convergence needs a tvgd or foa_min solver section")
+    h, steps = setup.grid[0]
     outcomes = []
-    found = False
-    problem0 = build_problem(config, args.ratings, h=config.grid[0][0])
-    grid_list = resolve_steps(config, problem0)
-    x0 = build_x0(config, problem0, seed=args.seed)
-    h, steps = grid_list[0]
-    for solver in config.solvers:
-        if solver.algorithm not in (TVGD, FOA_MIN):
-            continue
-        found = True
-        trace = _trace_for_check(config, problem0, solver, h, steps, x0, need_gap=True)
-        g2 = constants.G2 if constants.G2 is not None else _auto_g2(config, trace)
-        cst = analysis.ProblemConstants(
-            L1=constants.L1, L2=constants.L2, L3=constants.L3, G2=g2, mu=constants.mu
+    for solver in solvers:
+        trace = _trace_for_check(
+            config, setup.problem, solver, h, steps, setup.x0, need_gap=True
         )
+        cst = dataclasses.replace(config.constants, G2=config.g2(trace.f_pred))
+        needed = ("L1", "G2") if solver.algorithm == TVGD else ("L1", "L2", "L3")
+        missing = [key for key in needed if getattr(cst, key) is None]
+        if missing:
+            raise ConfigError(
+                f"post_convergence on {solver.label} needs constants {', '.join(missing)} "
+                f"(set keys {'=, '.join(missing)}=)"
+            )
         thr = analysis.stationarity_threshold(
             solver.algorithm, cst, h, zeta=solver.zeta, delta=solver.delta
         )
@@ -400,29 +378,25 @@ def check_post_convergence_cmd(config: ExperimentConfig, args) -> list[CheckOutc
                 "post_convergence", solver.label, rep.ok, float(len(rep.violations)), detail
             )
         )
-    if not found:
-        raise ConfigError("post_convergence needs a tvgd or foa_min solver section")
     return outcomes
 
 
 _RATIO_DEFAULTS = {TVGD: (1.6, 2.4), FOA_MIN: (3.0, 5.0), CP: (3.0, 5.0)}
 
 
-def check_prediction_gap_cmd(config: ExperimentConfig, args) -> list[CheckOutcome]:
-    problem_h = build_problem(config, args.ratings, h=config.grid[0][0])
-    grid_list = resolve_steps(config, problem_h)
-    h, steps = grid_list[0]
-    x0 = build_x0(config, problem_h, seed=args.seed)
-    problem_f = build_problem(config, args.ratings, h=h / 2)
+def check_prediction_gap_cmd(config: ExperimentConfig, setup: Setup) -> list[CheckOutcome]:
+    problem_h = setup.problem
+    h, steps = setup.grid[0]
+    problem_f = build_problem(config, setup.dataset, h=h / 2)
     outcomes = []
     for solver in config.solvers:
         if solver.algorithm == UFOPC:
             continue
         tr_c = _trace_for_check(
-            config, problem_h, solver, h, steps, x0, need_gap=False, store=True
+            config, problem_h, solver, h, steps, setup.x0, need_gap=False, store=True
         )
         tr_f = _trace_for_check(
-            config, problem_f, solver, h / 2, steps, x0, need_gap=False, store=True
+            config, problem_f, solver, h / 2, steps, setup.x0, need_gap=False, store=True
         )
         inc_c = analysis.max_prediction_increase(problem_h, tr_c)
         inc_f = analysis.max_prediction_increase(problem_f, tr_f)
@@ -443,45 +417,44 @@ def check_prediction_gap_cmd(config: ExperimentConfig, args) -> list[CheckOutcom
     return outcomes
 
 
-def check_lipschitz_optimum_cmd(config: ExperimentConfig, args) -> list[CheckOutcome]:
-    constants = constants_for(config)
+def check_lipschitz_optimum_cmd(config: ExperimentConfig, setup: Setup) -> list[CheckOutcome]:
+    constants = config.constants
     if constants.G2 is None:
         raise ConfigError("lipschitz_optimum needs constant G2 (set key G2=)")
-    problem = build_problem(config, args.ratings, h=config.grid[0][0])
-    grid_list = resolve_steps(config, problem)
-    h, steps = grid_list[0]
+    h, steps = setup.grid[0]
     viol = analysis.check_lipschitz_optimum(
-        problem, TimeGrid(h, steps), constants.G2, gauge=constants.gauge
+        setup.problem, TimeGrid(h, steps), constants.G2, gauge=constants.gauge
     )
     ok = viol <= analysis.bound_tol(constants.G2 * h)
     return [CheckOutcome("lipschitz_optimum", config.problem, ok, viol, f"G2={constants.G2:g}")]
 
 
-def check_ratio_bound_cmd(config: ExperimentConfig, seed: int) -> list[CheckOutcome]:
+def check_ratio_bound_cmd(config: ExperimentConfig, setup: Optional[Setup]) -> list[CheckOutcome]:
     trials = config.check_params.get("trials", 200)
-    worst = analysis.ratio_bound_selftest(trials=trials, seed=seed)
+    worst = analysis.ratio_bound_selftest(trials=trials, seed=config.seed)
     ok = worst <= analysis.ABS_TOL
     return [CheckOutcome("ratio_bound", f"{trials} trials", ok, worst)]
+
+
+_CHECKS = {
+    "gradients": check_gradients,
+    "ratio_bound": check_ratio_bound_cmd,
+    "lipschitz_optimum": check_lipschitz_optimum_cmd,
+    "pl_envelope": check_pl_envelope,
+    "post_convergence": check_post_convergence_cmd,
+    "prediction_gap": check_prediction_gap_cmd,
+}
 
 
 def cmd_check(config: ExperimentConfig, args, multi: bool) -> int:
     if not config.checks:
         raise ConfigError("check command needs a 'checks = ...' key in [experiment]")
-    seed = config.seed if args.seed is None else args.seed
+    # The gradients and ratio_bound checks run on their own fixed inputs.
+    needs_setup = set(config.checks) - {"gradients", "ratio_bound"}
+    setup = _setup(config, args) if needs_setup else None
     outcomes: list[CheckOutcome] = []
     for name in config.checks:
-        if name == "gradients":
-            outcomes += check_gradients(config, seed)
-        elif name == "ratio_bound":
-            outcomes += check_ratio_bound_cmd(config, seed)
-        elif name == "lipschitz_optimum":
-            outcomes += check_lipschitz_optimum_cmd(config, args)
-        elif name == "pl_envelope":
-            outcomes += check_pl_envelope(config, args)
-        elif name == "post_convergence":
-            outcomes += check_post_convergence_cmd(config, args)
-        elif name == "prediction_gap":
-            outcomes += check_prediction_gap_cmd(config, args)
+        outcomes += _CHECKS[name](config, setup)
 
     out = _out_dir(config, args, multi)
     lines = [CHECKS_HEADER]
@@ -532,20 +505,15 @@ def main(argv: Optional[list[str]] = None) -> int:
             check_seed("--seed", args.seed)
             for c in configs:
                 c.seed = args.seed
+        command = {"run": cmd_run, "sweep": cmd_sweep, "check": cmd_check}[args.command]
         multi = len(configs) > 1
         worst = EXIT_OK
         for config in configs:
             if config.source and multi:
                 print(f"=== {config.source} ===")
-            if args.command == "run":
-                code = cmd_run(config, args, multi)
-            elif args.command == "sweep":
-                code = cmd_sweep(config, args, multi)
-            else:
-                code = cmd_check(config, args, multi)
-            worst = max(worst, code)
+            worst = max(worst, command(config, args, multi))
         return worst
-    except (ConfigError, MissingOracleError, FileNotFoundError) as exc:
+    except (ConfigError, MissingOracleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -11,11 +11,12 @@ are addressed by bare name (``table2``, ``table5``, ``table7_gm``,
 from __future__ import annotations
 
 import configparser
+import dataclasses
 import math
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .problems import (
     ROBUST_GM,
     ROBUST_WELSCH,
     TOY,
+    linreg_g2_from_values,
     linreg_static_constants,
     make_linreg,
     make_mf,
@@ -35,12 +37,8 @@ from .problems import (
     robust_constants,
     toy_constants,
 )
-from .ratings import load_ratings, filter_min_counts, synth_ratings
+from .ratings import RatingsDataset, load_ratings, filter_min_counts, synth_ratings
 from .solvers import SolverConfig
-
-MF_FILE = "mf_file"
-MF_SYNTH = "mf_synth"
-PROBLEMS = (TOY, LINREG_STATIC, LINREG_DRIFT, ROBUST_GM, ROBUST_WELSCH, MF_FILE, MF_SYNTH)
 
 CHECK_NAMES = (
     "gradients",
@@ -84,7 +82,7 @@ class ExperimentConfig:
     timing: str = "zero"                      # zero | live
     warm_beta: float = 10.0
     checks: list[str] = field(default_factory=list)
-    constants_overrides: dict = field(default_factory=dict)
+    constants: ProblemConstants = field(default_factory=ProblemConstants)
     check_params: dict = field(default_factory=dict)
     mf_params: dict = field(default_factory=dict)
     synth_params: dict = field(default_factory=dict)
@@ -93,28 +91,40 @@ class ExperimentConfig:
     def gap_flag(self) -> Optional[bool]:
         return {"auto": None, "always": True, "never": False}[self.compute_gap]
 
+    def g2(self, f_values) -> Optional[float]:
+        """The configured G2, else the problem's rule for the values a run
+        reached, else None."""
+        if self.constants.G2 is not None:
+            return self.constants.G2
+        rule = PROBLEMS[self.problem].auto_g2
+        return None if rule is None else rule(f_values)
 
-def _number(key: str, text: str, cast=float):
+
+def _number(key: str, text: str, cast=float, low=None, strict=False):
     """Cast one config value to ``float`` or ``int``, naming the key on error.
 
     Integers may also be written as integral floats (``1e3``), but not as
-    fractions (``2.5``).
+    fractions (``2.5``).  With a bound ``low`` the value must also be finite
+    and ``>= low`` (``> low`` when ``strict``).
     """
     text = text.strip()
-    if cast is int:
-        try:
-            return int(text)
-        except ValueError:
-            pass
     try:
         value = float(text)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {text!r}") from None
-    if cast is float:
-        return value
-    if not value.is_integer():
-        raise ConfigError(f"{key} must be an integer, got {text!r}")
-    return int(value)
+    if cast is int:
+        if not value.is_integer():
+            raise ConfigError(f"{key} must be an integer, got {text!r}")
+        # int(text) keeps every digit of a long seed; float keeps 53 bits
+        value = int(text) if text.lstrip("+-").isdigit() else int(value)
+    if low is not None:
+        ok = value > low if strict else value >= low
+        if not (ok and math.isfinite(value)):
+            kind = "an integer" if cast is int else "a finite number"
+            raise ConfigError(
+                f"{key} must be {kind} {'>' if strict else '>='} {low}, got {text!r}"
+            )
+    return value
 
 
 def check_seed(key: str, seed: int) -> int:
@@ -124,29 +134,15 @@ def check_seed(key: str, seed: int) -> int:
     return seed
 
 
-def _parse_floats(text: str, key: str) -> list[float]:
-    return [_number(key, v) for v in text.split(",") if v.strip() != ""]
-
-
 def _parse_grid(h_text: str, steps_text: str) -> list[tuple[float, object]]:
-    hs = _parse_floats(h_text, "h")
+    hs = [_number("h", v, low=0, strict=True) for v in h_text.split(",") if v.strip()]
     steps_items = [s.strip() for s in steps_text.split(",") if s.strip() != ""]
     if len(hs) != len(steps_items):
-        raise ConfigError(
-            f"h lists {len(hs)} values but steps lists {len(steps_items)}"
-        )
-    grid: list[tuple[float, object]] = []
-    for h, s in zip(hs, steps_items):
-        if not (math.isfinite(h) and h > 0):
-            raise ConfigError(f"h must be a finite number > 0, got {h}")
-        if s == "auto":
-            grid.append((h, "auto"))
-            continue
-        steps = _number("steps", s, int)
-        if steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {steps}")
-        grid.append((h, steps))
-    return grid
+        raise ConfigError(f"h lists {len(hs)} values but steps lists {len(steps_items)}")
+    return [
+        (h, s if s == "auto" else _number("steps", s, int, low=1))
+        for h, s in zip(hs, steps_items)
+    ]
 
 
 def parse_config(path_or_text, is_text: bool = False, source: str = "") -> ExperimentConfig:
@@ -171,13 +167,13 @@ def parse_config(path_or_text, is_text: bool = False, source: str = "") -> Exper
 
     problem = exp.get("problem", "")
     if problem not in PROBLEMS:
-        raise ConfigError(f"unknown problem {problem!r}; expected one of {PROBLEMS}")
+        raise ConfigError(f"unknown problem {problem!r}; expected one of {tuple(PROBLEMS)}")
+    spec = PROBLEMS[problem]
     if "h" not in exp or "steps" not in exp:
         raise ConfigError("[experiment] needs both 'h' and 'steps'")
     grid = _parse_grid(exp["h"], exp["steps"])
-    for h, steps in grid:
-        if steps == "auto" and problem not in (MF_FILE, MF_SYNTH):
-            raise ConfigError("steps = auto is only meaningful for mf problems")
+    if spec.load is None and any(steps == "auto" for _, steps in grid):
+        raise ConfigError("steps = auto is only meaningful for mf problems")
 
     compute_gap = exp.get("compute_gap", "auto")
     if compute_gap not in ("auto", "always", "never"):
@@ -191,37 +187,42 @@ def parse_config(path_or_text, is_text: bool = False, source: str = "") -> Exper
         if c not in CHECK_NAMES:
             raise ConfigError(f"unknown check {c!r}; expected one of {CHECK_NAMES}")
 
-    def num(key, default, cast=float):
-        return _number(key, exp.get(key, default), cast)
+    def num(key, default, cast=float, low=None, strict=False):
+        return _number(key, exp.get(key, default), cast, low, strict)
 
-    overrides = {}
-    for key in ("L1", "L2", "L3", "G2", "mu", "Z"):
-        if key in exp:
-            overrides[key] = _number(key, exp[key])
+    overrides = {
+        key: _number(key, exp[key], low=0)
+        for key in ("L1", "L2", "L3", "G2", "mu", "Z")
+        if key in exp
+    }
+    try:
+        constants = dataclasses.replace(spec.constants, **overrides)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
     check_params = {}
     if "trials" in exp:
-        check_params["trials"] = _number("trials", exp["trials"], int)
+        check_params["trials"] = _number("trials", exp["trials"], int, low=1)
     for key in ("ratio_min", "ratio_max"):
         if key in exp:
             check_params[key] = _number(key, exp[key])
 
     seed = check_seed("seed", num("seed", "0", int))
     mf_params = {
-        "latent_dim": num("mf_latent_dim", "20", int),
-        "reg": num("mf_reg", "0.01"),
-        "reveal_per_step": num("mf_reveal_per_step", "10", int),
-        "initial_revealed": num("mf_initial_revealed", "100000", int),
-        "min_user": num("mf_min_user", "0", int),
-        "min_item": num("mf_min_item", "0", int),
+        "latent_dim": num("mf_latent_dim", "20", int, low=1),
+        "reg": num("mf_reg", "0.01", low=0),
+        "reveal_per_step": num("mf_reveal_per_step", "10", int, low=1),
+        "initial_revealed": num("mf_initial_revealed", "100000", int, low=1),
+        "min_user": num("mf_min_user", "0", int, low=0),
+        "min_item": num("mf_min_item", "0", int, low=0),
         "reg_normalized": exp.get("mf_reg_normalized", "true").lower() in ("true", "1", "yes"),
     }
     synth_params = {
-        "n_users": num("synth_users", "80", int),
-        "n_items": num("synth_items", "70", int),
-        "n_ratings": num("synth_ratings", "40000", int),
-        "latent_dim": num("synth_latent_dim", "5", int),
-        "noise_sd": num("synth_noise_sd", "0.3"),
+        "n_users": num("synth_users", "80", int, low=1),
+        "n_items": num("synth_items", "70", int, low=1),
+        "n_ratings": num("synth_ratings", "40000", int, low=1),
+        "latent_dim": num("synth_latent_dim", "5", int, low=1),
+        "noise_sd": num("synth_noise_sd", "0.3", low=0),
         "seed": check_seed("synth_seed", num("synth_seed", str(seed), int)),
     }
 
@@ -263,9 +264,9 @@ def parse_config(path_or_text, is_text: bool = False, source: str = "") -> Exper
         out=exp.get("out", "out"),
         compute_gap=compute_gap,
         timing=timing,
-        warm_beta=num("warm_beta", "10.0"),
+        warm_beta=num("warm_beta", "10.0", low=0, strict=True),
         checks=checks,
-        constants_overrides=overrides,
+        constants=constants,
         check_params=check_params,
         mf_params=mf_params,
         synth_params=synth_params,
@@ -301,46 +302,92 @@ def resolve_configs(spec: str) -> list[ExperimentConfig]:
 
 
 # ---------------------------------------------------------------------------
-# Problem/initial-point assembly
+# Problem registry and initial-point assembly
 # ---------------------------------------------------------------------------
 
-def build_problem(
-    config: ExperimentConfig,
-    ratings_path: Optional[str] = None,
-    h: Optional[float] = None,
-) -> ProblemOracle:
-    """Instantiate the configured problem (a fresh, immutable oracle).
+def _analytic(make, *args) -> Callable:
+    """Builder of a problem that needs neither a dataset nor the period."""
+    return lambda config, ds, h: make(*args)
 
-    Matrix-factorization oracles map time to a reveal count through the
-    sampling period, so ``h`` must be the period the run will use (defaults
-    to the first grid entry).
-    """
-    name = config.problem
-    if name == TOY:
-        return make_toy()
-    if name in (LINREG_STATIC, LINREG_DRIFT):
-        return make_linreg(name)
-    if name in (ROBUST_GM, ROBUST_WELSCH):
-        return make_robust(name)
+
+def _synth_ratings(config: ExperimentConfig, ratings_path) -> RatingsDataset:
+    return synth_ratings(**config.synth_params)
+
+
+def _load_ratings_file(config: ExperimentConfig, ratings_path) -> RatingsDataset:
+    if not ratings_path:
+        raise ConfigError("mf_file requires --ratings <path>")
     mf = config.mf_params
-    if name == MF_SYNTH:
-        ds = synth_ratings(**config.synth_params)
-    else:
-        if not ratings_path:
-            raise ConfigError("mf_file requires --ratings <path>")
+    try:
         ds = load_ratings(ratings_path)
         if mf["min_user"] or mf["min_item"]:
             ds = filter_min_counts(ds, mf["min_user"], mf["min_item"])
-    initial = min(mf["initial_revealed"], len(ds))
+    except (OSError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+    return ds
+
+
+def _build_mf(config: ExperimentConfig, ds: RatingsDataset, h: float) -> ProblemOracle:
+    mf = config.mf_params
     return make_mf(
         ds,
         latent_dim=mf["latent_dim"],
         reg=mf["reg"],
         reveal_per_step=mf["reveal_per_step"],
-        initial_revealed=initial,
-        step_period=config.grid[0][0] if h is None else h,
+        initial_revealed=min(mf["initial_revealed"], len(ds)),
+        step_period=h,
         normalize_reg=mf["reg_normalized"],
     )
+
+
+@dataclass(frozen=True)
+class ProblemSpec:
+    """What the harness knows about one problem name.
+
+    build      (config, dataset or None, period h) -> a fresh oracle
+    constants  default constants; config keys override them one by one
+    auto_g2    G2 from the values a run reached, used when no G2 is set
+    load       (config, ratings path or None) -> RatingsDataset; a problem
+               with a loader permits ``steps = auto`` and ``x0 = warm:``
+    """
+
+    build: Callable
+    constants: ProblemConstants = ProblemConstants()
+    auto_g2: Optional[Callable] = None
+    load: Optional[Callable] = None
+
+
+PROBLEMS: dict[str, ProblemSpec] = {
+    TOY: ProblemSpec(_analytic(make_toy), toy_constants()),
+    LINREG_STATIC: ProblemSpec(
+        _analytic(make_linreg, LINREG_STATIC), linreg_static_constants(), linreg_g2_from_values
+    ),
+    LINREG_DRIFT: ProblemSpec(_analytic(make_linreg, LINREG_DRIFT)),
+    ROBUST_GM: ProblemSpec(_analytic(make_robust, ROBUST_GM), robust_constants()),
+    ROBUST_WELSCH: ProblemSpec(_analytic(make_robust, ROBUST_WELSCH), robust_constants()),
+    "mf_file": ProblemSpec(_build_mf, load=_load_ratings_file),
+    "mf_synth": ProblemSpec(_build_mf, load=_synth_ratings),
+}
+
+
+def load_dataset(config: ExperimentConfig, ratings_path=None) -> Optional[RatingsDataset]:
+    """The configured problem's dataset (None for problems without one)."""
+    load = PROBLEMS[config.problem].load
+    return None if load is None else load(config, ratings_path)
+
+
+def build_problem(config: ExperimentConfig, ratings=None, h=None) -> ProblemOracle:
+    """Instantiate the configured problem (a fresh, immutable oracle).
+
+    ``ratings`` is a dataset from ``load_dataset``, or a ratings file path
+    (or None) to load one from.  Matrix-factorization oracles map time to a
+    reveal count through the sampling period, so ``h`` must be the period
+    the run will use (defaults to the first grid entry).
+    """
+    if not isinstance(ratings, RatingsDataset):
+        ratings = load_dataset(config, ratings)
+    h = config.grid[0][0] if h is None else h
+    return PROBLEMS[config.problem].build(config, ratings, h)
 
 
 def resolve_steps(config: ExperimentConfig, problem: ProblemOracle) -> list[tuple[float, int]]:
@@ -356,9 +403,7 @@ def resolve_steps(config: ExperimentConfig, problem: ProblemOracle) -> list[tupl
     return grid
 
 
-def build_x0(
-    config: ExperimentConfig, problem: ProblemOracle, seed: Optional[int] = None
-) -> np.ndarray:
+def build_x0(config: ExperimentConfig, problem: ProblemOracle) -> np.ndarray:
     """Resolve the configured initial point to a concrete vector.
 
     Forms: explicit comma-separated floats, ``randn`` (seeded standard
@@ -366,16 +411,18 @@ def build_x0(
     frozen initial objective until the gradient norm crosses the level).
     """
     spec = config.x0_spec.strip()
-    s = config.seed if seed is None else seed
     if spec == "randn":
-        return rng_from_seed(s).standard_normal(problem.dim)
+        return rng_from_seed(config.seed).standard_normal(problem.dim)
     if spec.startswith("warm:"):
-        if config.problem not in (MF_FILE, MF_SYNTH):
+        if PROBLEMS[config.problem].load is None:
             raise ConfigError("warm: initial points are only defined for mf problems")
-        level = _number("x0", spec[len("warm:"):])
-        x0, _ = mf_warm_start(problem, level, seed=s, beta=config.warm_beta)
+        level = _number("x0", spec[len("warm:"):], low=0, strict=True)
+        try:
+            x0, _ = mf_warm_start(problem, level, seed=config.seed, beta=config.warm_beta)
+        except RuntimeError as exc:
+            raise ConfigError(f"x0 = {spec}: {exc}") from None
         return x0
-    values = _parse_floats(spec, "x0")
+    values = [_number("x0", v) for v in spec.split(",") if v.strip()]
     if len(values) == 1 and problem.dim > 1:
         return np.full(problem.dim, values[0])
     if len(values) != problem.dim:
@@ -383,25 +430,3 @@ def build_x0(
             f"x0 has {len(values)} components but the problem dimension is {problem.dim}"
         )
     return np.asarray(values, dtype=float)
-
-
-def default_constants(problem_name: str) -> Optional[ProblemConstants]:
-    """Known analytic constants per benchmark, None when unavailable."""
-    if problem_name == TOY:
-        return toy_constants()
-    if problem_name == LINREG_STATIC:
-        return linreg_static_constants()
-    if problem_name in (ROBUST_GM, ROBUST_WELSCH):
-        return robust_constants()
-    return None
-
-
-def constants_for(config: ExperimentConfig) -> ProblemConstants:
-    """Merge per-problem defaults with explicit overrides from the config."""
-    base = default_constants(config.problem)
-    values = {}
-    if base is not None:
-        for key in ("L1", "L2", "L3", "G2", "mu", "Z"):
-            values[key] = getattr(base, key)
-    values.update(config.constants_overrides)
-    return ProblemConstants(**values)

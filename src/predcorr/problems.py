@@ -452,9 +452,7 @@ def make_mf(
         raise ValueError(
             f"initial_revealed must lie in [1, {len(ds)}], got {initial_revealed}"
         )
-    users = ds.users.copy()
-    items = ds.items.copy()
-    vals = ds.values.copy()
+    users, items, vals = ds.users, ds.items, ds.values   # read-only, shared
     U, I, F = ds.n_users, ds.n_items, latent_dim
     total = len(vals)
     nxt = _next_same_pair(users, items, I)

@@ -20,7 +20,8 @@ class RatingsDataset:
 
     Duplicate (user, item) pairs are retained: consumers that reveal the
     stream one prefix at a time treat a later rating of the same pair as
-    overwriting the earlier one.
+    overwriting the earlier one.  The arrays are made read-only on
+    construction, so oracles built from one dataset share them.
     """
 
     users: Array       # int64 in [0, n_users)
@@ -38,6 +39,8 @@ class RatingsDataset:
             raise ValueError("dataset contains no ratings")
         if np.any(np.diff(self.timestamps) < 0):
             raise ValueError("ratings must be sorted by timestamp")
+        for array in (self.users, self.items, self.values, self.timestamps):
+            array.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.values)

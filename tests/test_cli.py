@@ -1,6 +1,15 @@
+import contextlib
+import io
+import re
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import predcorr.config
+from predcorr import synth_ratings
 from predcorr.cli import (
     EXIT_CHECK_FAILED,
     EXIT_DIVERGED,
@@ -46,9 +55,76 @@ gamma = 1.0
 """
 
 
+MF_SYNTH_RUN = """
+[experiment]
+problem = mf_synth
+h = 0.01
+steps = 3
+x0 = warm:0.5
+warm_beta = 5
+seed = 0
+compute_gap = never
+mf_latent_dim = 3
+mf_reg = 0.01
+mf_reveal_per_step = 20
+mf_initial_revealed = 200
+synth_users = 20
+synth_items = 15
+synth_ratings = 400
+synth_latent_dim = 2
+synth_noise_sd = 0.3
+synth_seed = 4
+
+[solver tvgd]
+algorithm = tvgd
+C = 1
+beta = 5
+"""
+
+# Two solvers over three periods; the middle step count reveals the rest of
+# the stream.
+MF_FILE_SWEEP = """
+[experiment]
+problem = mf_file
+h = 0.01, 0.02, 0.04
+steps = 4, auto, 3
+x0 = warm:0.5
+warm_beta = 5
+seed = 1
+compute_gap = never
+mf_latent_dim = 3
+mf_reveal_per_step = 50
+mf_initial_revealed = 300
+mf_min_user = 2
+
+[solver tvgd]
+algorithm = tvgd
+C = 2
+beta = 5
+
+[solver foa_min]
+algorithm = foa_min
+C = 1
+beta = 5
+zeta = 10
+delta = 1e-10
+"""
+
+
 def write_config(tmp_path, text, name="exp.ini"):
     path = tmp_path / name
     path.write_text(text)
+    return str(path)
+
+
+def write_ratings(tmp_path, name="ratings.csv"):
+    """A small ratings file with sparse ids and shuffled timestamps."""
+    ds = synth_ratings(n_users=30, n_items=20, n_ratings=600, latent_dim=2, noise_sd=0.3, seed=5)
+    path = tmp_path / name
+    path.write_text("".join(
+        f"{u * 7},{i * 3},{v!r},{(s * 37) % 600}\n"
+        for u, i, v, s in ds.ratings()
+    ))
     return str(path)
 
 
@@ -117,6 +193,43 @@ class TestMalformedNumbers:
     def test_exit_1_with_one_error_line(self, tmp_path, capsys, old, new, key):
         cfg = write_config(tmp_path, TOY_RUN.replace(old, new))
         code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err.strip().split("\n")
+        assert code == EXIT_USAGE
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+
+    @pytest.mark.parametrize(
+        "verb, base, old, new, ratings, key",
+        [
+            ("run", "mf_synth", "mf_latent_dim = 3", "mf_latent_dim = 0", None, "mf_latent_dim"),
+            ("run", "mf_synth", "synth_users = 20", "synth_users = 0", None, "synth_users"),
+            ("run", "toy", "seed = 0", "seed = 0\ntrials = 0", None, "trials"),
+            ("run", "toy", "seed = 0", "seed = 0\nmu = -1", None, "mu"),
+            ("run", "toy", "seed = 0", "seed = 0\nmu = 2", None, "mu"),
+            ("run", "mf_file", "", "", "malformed", "bad.csv:2"),
+            ("run", "mf_file", "", "", "directory", "directory"),
+            ("run", "mf_synth", "warm_beta = 5", "warm_beta = 1e6", None, "warm start diverged"),
+            ("check", "envelope", "seed = 0", "seed = 0\nmu = 0\nG2 = 1", None, "mu > 0"),
+        ],
+        ids=[
+            "mf_latent_dim", "synth_users", "trials", "negative_mu", "mu_above_L1",
+            "malformed_ratings_line", "ratings_directory", "diverging_warm_start",
+            "pl_envelope_zero_mu",
+        ],
+    )
+    def test_range_and_input_errors(self, tmp_path, capsys, verb, base, old, new, ratings, key):
+        text = {
+            "toy": TOY_RUN, "mf_synth": MF_SYNTH_RUN, "mf_file": MF_FILE_SWEEP,
+            "envelope": CHECK_ENVELOPE,
+        }[base]
+        cfg = write_config(tmp_path, text.replace(old, new))
+        argv = [verb, "--config", cfg, "--out", str(tmp_path / "out")]
+        if ratings == "malformed":
+            bad = tmp_path / "bad.csv"
+            bad.write_text("1,2,4.0,10\n1,3,four,11\n")
+            argv += ["--ratings", str(bad)]
+        elif ratings == "directory":
+            argv += ["--ratings", str(tmp_path)]
+        code = main(argv)
         err = capsys.readouterr().err.strip().split("\n")
         assert code == EXIT_USAGE
         assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
@@ -290,11 +403,28 @@ class TestSweepCommand:
         assert len(slopes) == 5  # four statistics fitted for the one solver
 
     def test_sweep_parallel_matches_serial(self, tmp_path):
-        cfg = write_config(tmp_path, SWEEP_SMALL)
-        out_a, out_b = tmp_path / "a", tmp_path / "b"
-        main(["sweep", "--config", cfg, "--out", str(out_a), "--jobs", "1"])
-        main(["sweep", "--config", cfg, "--out", str(out_b), "--jobs", "3"])
-        assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
+        # The mf_file input ships its loaded dataset to the worker processes.
+        ratings = ["--ratings", write_ratings(tmp_path)]
+        for name, text in (("linreg", SWEEP_SMALL), ("mf_file", MF_FILE_SWEEP)):
+            cfg = write_config(tmp_path, text, name=f"{name}.ini")
+            out_a, out_b = tmp_path / name / "a", tmp_path / name / "b"
+            for out, jobs in ((out_a, "1"), (out_b, "3")):
+                code = main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs] + ratings)
+                assert code == EXIT_OK
+            assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("verb", ["run", "sweep"])
+    def test_ratings_file_parsed_once_per_command(self, tmp_path, monkeypatch, verb):
+        parsed = []
+        load = predcorr.config.load_ratings
+        monkeypatch.setattr(
+            predcorr.config, "load_ratings", lambda path: parsed.append(path) or load(path)
+        )
+        cfg = write_config(tmp_path, MF_FILE_SWEEP)
+        ratings = write_ratings(tmp_path)
+        code = main([verb, "--config", cfg, "--ratings", ratings, "--out", str(tmp_path / "o")])
+        assert code == EXIT_OK
+        assert parsed == [ratings]
 
     def test_synthetic_power_law_injection(self):
         # plumbing check: a fabricated stat table with stat = h^2 fits slope 2
@@ -431,6 +561,61 @@ G2 = 1.0
         cfg = write_config(tmp_path, text.replace("trials = 50", ""))
         assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
+    def test_post_convergence_without_g2_names_the_key(self, tmp_path, capsys):
+        text = """
+[experiment]
+problem = toy
+h = 0.1
+steps = 50
+x0 = 8.0
+checks = post_convergence
+
+[solver tvgd]
+algorithm = tvgd
+C = 1
+beta = 1.0
+"""
+        cfg = write_config(tmp_path, text)
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error: post_convergence") and "G2" in err[0]
+
     def test_missing_checks_key_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, TOY_RUN)
         assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+
+
+# One numeric key replaced by a token from a fixed set.  The set holds no
+# large value a count could take, so no example builds a huge array.
+BAD_TOKENS = ("0", "-1", "2.5", "nan", "inf", "1e400", "abc", "")
+TOKEN_BASES = {
+    "toy": (TOY_RUN, ("h", "steps", "seed", "x0", "C", "beta", "zeta", "delta")),
+    "mf_synth": (MF_SYNTH_RUN, (
+        "h", "steps", "seed", "warm_beta", "mf_latent_dim", "mf_reg", "mf_reveal_per_step",
+        "mf_initial_revealed", "synth_users", "synth_items", "synth_ratings",
+        "synth_latent_dim", "synth_noise_sd", "synth_seed", "C", "beta",
+    )),
+}
+
+
+@st.composite
+def one_bad_token(draw):
+    text, keys = TOKEN_BASES[draw(st.sampled_from(sorted(TOKEN_BASES)))]
+    key, token = draw(st.sampled_from(keys)), draw(st.sampled_from(BAD_TOKENS))
+    return re.sub(rf"^{key} = .*$", f"{key} = {token}", text, count=1, flags=re.M)
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=one_bad_token())
+def test_bad_token_exits_cleanly(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = f"{tmp}/exp.ini"
+        with open(cfg, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["run", "--config", cfg, "--out", f"{tmp}/out"])
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_DIVERGED)
+    if code == EXIT_USAGE:
+        lines = err.getvalue().strip().split("\n")
+        assert len(lines) == 1 and lines[0].startswith("error:")
