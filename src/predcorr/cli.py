@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import tempfile
@@ -316,6 +317,12 @@ def _trace_for_check(config, problem, solver, h, steps, x0, need_gap, store=Fals
     return run(problem, solver, TimeGrid(h, steps), x0, compute_gap=gap, store_iterates=store)
 
 
+def _diverged(check: str, target: str, trace: Trace, h: float) -> CheckOutcome:
+    """A failed check whose own solver run diverged: nothing to measure."""
+    detail = f"run diverged at step {trace.diverged_step} (h={h:g})"
+    return CheckOutcome(check, target, False, math.nan, detail)
+
+
 def check_pl_envelope(config: ExperimentConfig, setup: Setup) -> list[CheckOutcome]:
     solver = next((s for s in config.solvers if s.algorithm == TVGD), None)
     if solver is None:
@@ -330,6 +337,10 @@ def check_pl_envelope(config: ExperimentConfig, setup: Setup) -> list[CheckOutco
             else build_problem(config, setup.dataset, h=h)
         )
         trace = _trace_for_check(config, problem, solver, h, steps, setup.x0, need_gap=True)
+        target = f"{solver.label}@h={h:g}"
+        if trace.diverged:
+            outcomes.append(_diverged("pl_envelope", target, trace, h))
+            continue
         g2 = config.g2(trace.f_pred)
         if g2 is None:
             raise ConfigError("pl_envelope needs constants G2 (set key G2=)")
@@ -337,9 +348,7 @@ def check_pl_envelope(config: ExperimentConfig, setup: Setup) -> list[CheckOutco
         viol = analysis.check_tvgd_pl_envelope(trace, cst, TimeGrid(h, steps))
         scale = abs(trace.gap[0]) + analysis.envelope_limit(cst, h)
         ok = viol <= analysis.bound_tol(scale)
-        outcomes.append(
-            CheckOutcome("pl_envelope", f"{solver.label}@h={h:g}", ok, viol, f"G2={g2:.3g}")
-        )
+        outcomes.append(CheckOutcome("pl_envelope", target, ok, viol, f"G2={g2:.3g}"))
     return outcomes
 
 
@@ -353,6 +362,9 @@ def check_post_convergence_cmd(config: ExperimentConfig, setup: Setup) -> list[C
         trace = _trace_for_check(
             config, setup.problem, solver, h, steps, setup.x0, need_gap=True
         )
+        if trace.diverged:
+            outcomes.append(_diverged("post_convergence", solver.label, trace, h))
+            continue
         cst = dataclasses.replace(config.constants, G2=config.g2(trace.f_pred))
         needed = ("L1", "G2") if solver.algorithm == TVGD else ("L1", "L2", "L3")
         missing = [key for key in needed if getattr(cst, key) is None]
@@ -398,20 +410,23 @@ def check_prediction_gap_cmd(config: ExperimentConfig, setup: Setup) -> list[Che
         tr_f = _trace_for_check(
             config, problem_f, solver, h / 2, steps, setup.x0, need_gap=False, store=True
         )
-        inc_c = analysis.max_prediction_increase(problem_h, tr_c)
-        inc_f = analysis.max_prediction_increase(problem_f, tr_f)
-        ratio = float("inf") if inc_f == 0 else inc_c / inc_f
+        if tr_c.diverged or tr_f.diverged:
+            tr, h_run = (tr_c, h) if tr_c.diverged else (tr_f, h / 2)
+            outcomes.append(_diverged("prediction_gap", solver.label, tr, h_run))
+            continue
+        rep = analysis.check_prediction_gap(problem_h, tr_c, tr_f, problem_fine=problem_f)
         lo, hi = _RATIO_DEFAULTS[solver.algorithm]
         lo = config.check_params.get("ratio_min", lo)
         hi = config.check_params.get("ratio_max", hi)
-        ok = lo <= ratio <= hi
+        ok = lo <= rep.ratio <= hi
         outcomes.append(
             CheckOutcome(
                 "prediction_gap",
                 solver.label,
                 ok,
-                ratio,
-                f"max increase {inc_c:.3e} (h={h:g}) vs {inc_f:.3e} (h={h/2:g}), window [{lo}, {hi}]",
+                rep.ratio,
+                f"max increase {rep.increase_coarse:.3e} (h={h:g}) vs "
+                f"{rep.increase_fine:.3e} (h={h/2:g}), window [{lo}, {hi}]",
             )
         )
     return outcomes

@@ -80,9 +80,11 @@ class ProblemOracle:
     the solver loop; problems that leave it unset get the run-time default
     ``1e8 * (1 + ||x0||)``.  Oracles are pure functions of (x, t); instances
     are immutable and safe to share between concurrent runs.  An instance
-    may memoize its pieces that depend on time alone (a moving target, a
-    time-varying diagonal) for its two most recent times; that never
-    changes a result, and returned arrays stay the caller's to modify.
+    may memoize its pieces that do not depend on x for its most recent
+    keys: by time (a moving target, a time-varying diagonal; two times) or
+    by the length of the revealed prefix (the matrix-factorization live
+    set; one prefix).  That never changes a result, and returned arrays
+    stay the caller's to modify.
     """
 
     dim: int

@@ -1,13 +1,14 @@
 """Benchmark problem suite.
 
-Four analytic families plus streaming matrix factorization:
+A one-dimensional toy, one diagonal-regression family and streaming
+matrix factorization:
 
 * a one-dimensional non-convex objective whose landscape rides along a
   uniformly drifting frame (``make_toy``),
-* diagonal least squares with a sinusoidally moving target, with either a
-  fixed or a slowly breathing diagonal (``make_linreg``),
-* robust regression through a saturating loss, Geman-McClure or Welsch
-  (``make_robust``),
+* ``sum_i loss((A(t) x - b(t))_i)`` with a diagonal A(t) and a sinusoidally
+  moving target, in four presets: least squares with a fixed or a slowly
+  breathing diagonal (``make_linreg``), and robust regression through a
+  saturating loss, Geman-McClure or Welsch (``make_robust``),
 * matrix factorization over a ratings stream in which a fixed number of new
   ratings is revealed per step (``make_mf``).
 
@@ -38,22 +39,23 @@ _COSP = np.cos(_PHASE)
 _SINP = np.sin(_PHASE)
 
 
-def _time_frame(diag, b):
-    """Memoized ``t -> (diag(t), b(t))`` for one problem instance.
+def _memo(compute, size=2):
+    """Memoized ``key -> tuple of arrays`` for one problem instance.
 
-    The two most recent times are kept: cp with the extrapolated gradient
-    and ufopc alternate between t and t - h within a step.  The arrays are
-    read-only because every caller at the same time shares them.
+    The ``size`` most recent keys are kept.  Two suit a time frame: cp with
+    the extrapolated gradient and ufopc alternate between t and t - h
+    within a step.  The arrays are read-only because every caller with the
+    same key shares them.
     """
 
-    @functools.lru_cache(maxsize=2)
-    def frame(t):
-        pieces = diag(t), b(t)
+    @functools.lru_cache(maxsize=size)
+    def memo(key):
+        pieces = compute(key)
         for a in pieces:
             a.flags.writeable = False
         return pieces
 
-    return frame
+    return memo
 
 
 def _numeric_optimum(value, grad_x, dim, lipschitz, tol=1e-10, max_iters=100_000):
@@ -132,33 +134,65 @@ def toy_constants() -> ProblemConstants:
 
 
 # ---------------------------------------------------------------------------
-# Diagonal least squares with a moving target
+# Diagonal regression: least squares and robust losses
 # ---------------------------------------------------------------------------
 
-def _b_linreg(t):
-    s, c = np.sin(t / 100.0), np.cos(t / 100.0)
-    return 10.0 * (s * _COSP + c * _SINP)
+def geman_mcclure(y):
+    return 2.0 * y * y / (y * y + 4.0)
 
 
-def _bdot_linreg(t):
-    s, c = np.sin(t / 100.0), np.cos(t / 100.0)
-    return 0.1 * (c * _COSP - s * _SINP)
+def geman_mcclure_d1(y):
+    return 16.0 * y / (y * y + 4.0) ** 2
 
 
-def make_linreg(variant: str = LINREG_STATIC) -> ProblemOracle:
-    """Least squares ``0.5 * ||A(t) x - b(t)||^2`` in dimension 10.
+def geman_mcclure_d2(y):
+    return 16.0 * (4.0 - 3.0 * y * y) / (y * y + 4.0) ** 3
 
-    The diagonal of A is 0.1 for the first five coordinates and 10 for the
-    rest; the target entries are ``10 sin(t/100 + 2 pi i / 10)``.  The
-    "drift" variant additionally modulates the diagonal by
-    ``1 + 0.05 cos(t/200 + 2 pi i / 10)``.  A is square and invertible, so
-    the optimum ``x*(t) = A(t)^{-1} b(t)`` is closed form and the optimal
-    value is identically zero.
+
+def welsch(y):
+    return 1.0 - np.exp(-0.5 * y * y)
+
+
+def welsch_d1(y):
+    return y * np.exp(-0.5 * y * y)
+
+
+def welsch_d2(y):
+    yy = y * y
+    return (1.0 - yy) * np.exp(-0.5 * yy)
+
+
+_SQUARED = "squared"
+
+# loss name -> (total over residuals, elementwise first and second derivative)
+_LOSSES = {
+    _SQUARED: (lambda r: 0.5 * float(r @ r), lambda r: r, lambda r: 1.0),
+    ROBUST_GM: (lambda r: float(geman_mcclure(r).sum()), geman_mcclure_d1, geman_mcclure_d2),
+    ROBUST_WELSCH: (lambda r: float(welsch(r).sum()), welsch_d1, welsch_d2),
+}
+
+
+def _diag_regression(
+    name: str,
+    loss: str,
+    small_diag: float,
+    amplitude: float,
+    drifting: bool,
+    lipschitz: Optional[float] = None,
+    domain_guard: Optional[float] = None,
+) -> ProblemOracle:
+    """``sum_i loss((A(t) x - b(t))_i)`` in dimension 10 with a diagonal A(t).
+
+    The diagonal of A is ``small_diag`` for the first five coordinates and
+    10 for the rest; a drifting diagonal is modulated by
+    ``1 + 0.05 cos(t/200 + 2 pi i/10)``.  The target entries are
+    ``amplitude * sin(t/100 + 2 pi i/10)``.  With ``lipschitz`` the
+    reference optimum is numeric (inner descent with step 1/lipschitz from
+    the query hint); without it, it is the closed-form zero-residual point
+    ``A(t)^{-1} b(t)`` with value 0.
     """
-    if variant not in (LINREG_STATIC, LINREG_DRIFT):
-        raise ValueError(f"unknown linreg variant {variant!r}")
-    base = np.where(_IDX <= 5, 0.1, 10.0)
-    drifting = variant == LINREG_DRIFT
+    total, d1, d2 = _LOSSES[loss]
+    base = np.where(_IDX <= 5, small_diag, 10.0)
 
     if drifting:
         def diag(t):
@@ -175,29 +209,38 @@ def make_linreg(variant: str = LINREG_STATIC) -> ProblemOracle:
         def diag_dot(t):
             return np.zeros(10)
 
-    frame = _time_frame(diag, _b_linreg)
+    def b(t):
+        s, c = np.sin(t / 100.0), np.cos(t / 100.0)
+        return amplitude * (s * _COSP + c * _SINP)
+
+    def bdot(t):
+        s, c = np.sin(t / 100.0), np.cos(t / 100.0)
+        return amplitude / 100.0 * (c * _COSP - s * _SINP)
+
+    frame = _memo(lambda t: (diag(t), b(t)))
 
     def value(x, t):
-        a, b = frame(t)
-        r = a * x - b
-        return 0.5 * float(r @ r)
+        a, bt = frame(t)
+        return total(a * x - bt)
 
     def grad_x(x, t):
-        a, b = frame(t)
-        return a * (a * x - b)
+        a, bt = frame(t)
+        return d1(a * x - bt) * a
 
     def grad_t(x, t):
-        a, b = frame(t)
-        r = a * x - b
-        return float(r @ (diag_dot(t) * x - _bdot_linreg(t)))
+        a, bt = frame(t)
+        return float(d1(a * x - bt) @ (diag_dot(t) * x - bdot(t)))
 
     def hess_xx(x, t):
-        a, _ = frame(t)
-        return np.diag(a * a)
+        a, bt = frame(t)
+        return np.diag(d2(a * x - bt) * a * a)
 
-    def optimum(t, x_hint=None):
-        a, b = frame(t)
-        return b / a, 0.0
+    if lipschitz is None:
+        def optimum(t, x_hint=None):
+            a, bt = frame(t)
+            return bt / a, 0.0
+    else:
+        optimum = _numeric_optimum(value, grad_x, 10, lipschitz=lipschitz)
 
     return ProblemOracle(
         dim=10,
@@ -206,8 +249,24 @@ def make_linreg(variant: str = LINREG_STATIC) -> ProblemOracle:
         grad_t=grad_t,
         hess_xx=hess_xx,
         optimum=optimum,
-        optimum_kind="closed_form",
-        name=variant,
+        optimum_kind="closed_form" if lipschitz is None else "numeric",
+        domain_guard=domain_guard,
+        name=name,
+    )
+
+
+def make_linreg(variant: str = LINREG_STATIC) -> ProblemOracle:
+    """Least squares ``0.5 * ||A(t) x - b(t)||^2`` in dimension 10.
+
+    The diagonal of A is 0.1 on the first five coordinates, the target
+    amplitude 10, and the "drift" variant breathes the diagonal.  A is
+    square and invertible, so the optimum ``x*(t) = A(t)^{-1} b(t)`` is
+    closed form and the optimal value is identically zero.
+    """
+    if variant not in (LINREG_STATIC, LINREG_DRIFT):
+        raise ValueError(f"unknown linreg variant {variant!r}")
+    return _diag_regression(
+        variant, _SQUARED, small_diag=0.1, amplitude=10.0, drifting=variant == LINREG_DRIFT
     )
 
 
@@ -252,101 +311,20 @@ def linreg_g2_from_values(f_values) -> float:
     return linreg_g2_bound(np.sqrt(2.0 * max(fmax, 0.0)) + 10.0 * s5)
 
 
-# ---------------------------------------------------------------------------
-# Robust regression
-# ---------------------------------------------------------------------------
-
-def geman_mcclure(y):
-    return 2.0 * y * y / (y * y + 4.0)
-
-
-def geman_mcclure_d1(y):
-    return 16.0 * y / (y * y + 4.0) ** 2
-
-
-def geman_mcclure_d2(y):
-    return 16.0 * (4.0 - 3.0 * y * y) / (y * y + 4.0) ** 3
-
-
-def welsch(y):
-    return 1.0 - np.exp(-0.5 * y * y)
-
-
-def welsch_d1(y):
-    return y * np.exp(-0.5 * y * y)
-
-
-def welsch_d2(y):
-    yy = y * y
-    return (1.0 - yy) * np.exp(-0.5 * yy)
-
-
-_ROBUST_LOSSES = {
-    ROBUST_GM: (geman_mcclure, geman_mcclure_d1, geman_mcclure_d2),
-    ROBUST_WELSCH: (welsch, welsch_d1, welsch_d2),
-}
-
-
 def make_robust(loss: str = ROBUST_GM) -> ProblemOracle:
     """Robust regression ``sum_i loss((A(t) x - b(t))_i)`` in dimension 10.
 
-    A(t) is diagonal with entries ``1 + 0.05 cos(t/200 + 2 pi i/10)`` for
-    i <= 5 and ten times that for i > 5; the target entries are
-    ``50 sin(t/100 + 2 pi i/10)``.  Both losses saturate, so residuals far
-    from zero contribute almost no gradient and the objective is non-convex.
-    The reference optimum is numeric (inner descent from the query hint).
+    The diagonal of A is 1 on the first five coordinates and breathes, and
+    the target amplitude is 50.  Both losses saturate, so residuals far
+    from zero contribute almost no gradient and the objective is
+    non-convex.  The reference optimum is numeric (inner descent from the
+    query hint).
     """
-    if loss not in _ROBUST_LOSSES:
+    if loss not in (ROBUST_GM, ROBUST_WELSCH):
         raise ValueError(f"unknown robust loss {loss!r}; expected robust_gm or robust_welsch")
-    ell, ell_d1, ell_d2 = _ROBUST_LOSSES[loss]
-    base = np.where(_IDX <= 5, 1.0, 10.0)
-    lipschitz = (10.0 * 1.05) ** 2   # max |loss''| = 1 for both losses
-
-    def diag(t):
-        s, c = np.sin(t / 200.0), np.cos(t / 200.0)
-        return base * (1.0 + 0.05 * (c * _COSP - s * _SINP))
-
-    def diag_dot(t):
-        s, c = np.sin(t / 200.0), np.cos(t / 200.0)
-        return base * (-0.05 / 200.0) * (s * _COSP + c * _SINP)
-
-    def b(t):
-        s, c = np.sin(t / 100.0), np.cos(t / 100.0)
-        return 50.0 * (s * _COSP + c * _SINP)
-
-    def bdot(t):
-        s, c = np.sin(t / 100.0), np.cos(t / 100.0)
-        return 0.5 * (c * _COSP - s * _SINP)
-
-    frame = _time_frame(diag, b)
-
-    def value(x, t):
-        a, bt = frame(t)
-        return float(ell(a * x - bt).sum())
-
-    def grad_x(x, t):
-        a, bt = frame(t)
-        return ell_d1(a * x - bt) * a
-
-    def grad_t(x, t):
-        a, bt = frame(t)
-        r = a * x - bt
-        return float(ell_d1(r) @ (diag_dot(t) * x - bdot(t)))
-
-    def hess_xx(x, t):
-        a, bt = frame(t)
-        return np.diag(ell_d2(a * x - bt) * a * a)
-
-    return ProblemOracle(
-        dim=10,
-        value=value,
-        grad_x=grad_x,
-        grad_t=grad_t,
-        hess_xx=hess_xx,
-        optimum=_numeric_optimum(value, grad_x, 10, lipschitz=lipschitz),
-        optimum_kind="numeric",
-        domain_guard=1e4,
-        name=loss,
+    return _diag_regression(
+        loss, loss, small_diag=1.0, amplitude=50.0, drifting=True,
+        lipschitz=robust_constants().L1, domain_guard=1e4,
     )
 
 
@@ -391,15 +369,23 @@ class MFState:
     reveal_per_step: int
 
 
+def _revealed(t, step_period, initial_revealed, reveal_per_step, total) -> int:
+    """Length of the revealed prefix at time t: the reveal schedule."""
+    k = max(int(round(t / step_period)), 0)
+    return min(initial_revealed + k * reveal_per_step, total)
+
+
 def mf_state(problem: MFOracle, x: Array, t: float) -> MFState:
     F, U, I = problem.latent_dim, problem.n_users, problem.n_items
-    n = problem.initial_revealed + max(int(round(t / problem.step_period)), 0) * problem.reveal_per_step
     return MFState(
         P=x[: F * U].reshape(U, F).T.copy(),
         Q=x[F * U:].reshape(I, F).T.copy(),
         latent_dim=F,
         reg=problem.reg,
-        revealed=min(n, problem.n_ratings),
+        revealed=_revealed(
+            t, problem.step_period, problem.initial_revealed, problem.reveal_per_step,
+            problem.n_ratings,
+        ),
         reveal_per_step=problem.reveal_per_step,
     )
 
@@ -458,23 +444,20 @@ def make_mf(
     nxt = _next_same_pair(users, items, I)
     dim = F * (U + I)
 
-    # Per-prefix live set, cached: every oracle call at the same time reuses
-    # the same index arrays.  Single-cell tuple swap keeps readers safe.
-    cache = (-1, None, None, None, None, None)
-
-    def live(t: float):
-        nonlocal cache
-        k = int(round(t / step_period))
-        n = min(initial_revealed + max(k, 0) * reveal_per_step, total)
-        c = cache
-        if c[0] == n:
-            return c[1:]
+    def live_set(n):
+        """Ratings live under prefix length n, with per-user/item counts."""
         m = nxt[:n] >= n
         u, i, r = users[:n][m], items[:n][m], vals[:n][m]
         cu = np.bincount(u, minlength=U).astype(float)
         ci = np.bincount(i, minlength=I).astype(float)
-        cache = (n, u, i, r, cu, ci)
         return u, i, r, cu, ci
+
+    # One slot: a live set takes ~24 bytes per revealed rating, and a
+    # second slot raised the benchmark stream's peak RSS by ~1.5 MB.
+    live_at = _memo(live_set, size=1)
+
+    def live(t: float):
+        return live_at(_revealed(t, step_period, initial_revealed, reveal_per_step, total))
 
     def value(x, t):
         u, i, r, cu, ci = live(t)

@@ -584,6 +584,36 @@ beta = 1.0
         cfg = write_config(tmp_path, TOY_RUN)
         assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
+    @pytest.mark.parametrize("check, problem", [
+        ("post_convergence", "toy"),
+        ("pl_envelope", "linreg_static"),
+        ("prediction_gap", "toy"),
+    ])
+    def test_diverged_check_run_is_a_fail_row(self, tmp_path, check, problem):
+        # a step of 1e9 throws the first correction far past the domain guard
+        text = f"""
+[experiment]
+problem = {problem}
+h = 0.1
+steps = 20
+x0 = 8.0
+checks = {check}
+G2 = 1.0
+
+[solver tvgd]
+algorithm = tvgd
+C = 1
+beta = 1e9
+"""
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["check", "--config", cfg, "--out", str(out)]) == EXIT_CHECK_FAILED
+        rows = (out / "checks.csv").read_text().splitlines()[1:]
+        assert len(rows) == 1
+        name, _, status, value, detail = rows[0].split(",")
+        assert (name, status, value) == (check, "FAIL", "nan")
+        assert re.fullmatch(r"run diverged at step \d+ \(h=0\.1\)", detail)
+
 
 # One numeric key replaced by a token from a fixed set.  The set holds no
 # large value a count could take, so no example builds a huge array.

@@ -28,18 +28,26 @@ from predcorr.problems import (
 from predcorr.ratings import RatingsDataset
 
 
+MEMO_MF_DATA = synth_ratings(8, 7, 150, 3, 0.4, seed=11)
+
 MEMO_PROBLEMS = {
     "toy": make_toy,
     "linreg_static": lambda: make_linreg("linreg_static"),
     "linreg_drift": lambda: make_linreg("linreg_drift"),
     "robust_gm": lambda: make_robust("robust_gm"),
     "robust_welsch": lambda: make_robust("robust_welsch"),
+    # one reveal per 0.05 time units: the memo test's times span prefixes
+    # 20 and 53..56, with evictions
+    "mf": lambda: make_mf(
+        MEMO_MF_DATA, 3, 0.05, reveal_per_step=1, initial_revealed=20, step_period=0.05
+    ),
 }
 
 
 def oracle_outputs(p, x, t):
-    """Every oracle result at (x, t); the optimum only when closed form."""
-    out = [p.value(x, t), p.grad_x(x, t), p.grad_t(x, t), p.hess_xx(x, t)]
+    """Every present oracle's result at (x, t); the optimum only when
+    closed form."""
+    out = [f(x, t) for f in (p.value, p.grad_x, p.grad_t, p.hess_xx) if f is not None]
     if p.optimum_kind == "closed_form":
         out += list(p.optimum(t, x))
     return out
@@ -67,6 +75,8 @@ class TestTimeFrameMemo:
         p = MEMO_PROBLEMS[name]()
         x, t = np.full(p.dim, 0.5), 0.3
         for oracle in (p.grad_x, p.hess_xx):
+            if oracle is None:
+                continue
             first = oracle(x, t)
             want = first.copy()
             first[...] = 1e9
