@@ -453,20 +453,10 @@ class PredictionGapReport:
 
 
 def check_prediction_gap(
-    problem: ProblemOracle,
-    trace_coarse: Trace,
-    trace_fine: Trace,
-    *,
-    problem_fine: Optional[ProblemOracle] = None,
+    problem: ProblemOracle, trace_coarse: Trace, trace_fine: Trace
 ) -> PredictionGapReport:
-    """Largest one-step increase of each run and their ratio.
-
-    ``problem_fine`` is the oracle of the fine run when it is not
-    ``problem``: a matrix-factorization oracle reveals ratings on the
-    schedule of its own sampling period.
-    """
     inc_c = max_prediction_increase(problem, trace_coarse)
-    inc_f = max_prediction_increase(problem if problem_fine is None else problem_fine, trace_fine)
+    inc_f = max_prediction_increase(problem, trace_fine)
     ratio = math.inf if inc_f == 0 else inc_c / inc_f
     return PredictionGapReport(inc_c, inc_f, ratio)
 

@@ -164,9 +164,11 @@ def welsch_d2(y):
 
 _SQUARED = "squared"
 
-# loss name -> (total over residuals, elementwise first and second derivative)
+# loss name -> (total over residuals, elementwise first and second
+# derivative); None is the squared loss's unit curvature, so its Hessian
+# A(t)^2 needs no residual
 _LOSSES = {
-    _SQUARED: (lambda r: 0.5 * float(r @ r), lambda r: r, lambda r: 1.0),
+    _SQUARED: (lambda r: 0.5 * float(r @ r), lambda r: r, None),
     ROBUST_GM: (lambda r: float(geman_mcclure(r).sum()), geman_mcclure_d1, geman_mcclure_d2),
     ROBUST_WELSCH: (lambda r: float(welsch(r).sum()), welsch_d1, welsch_d2),
 }
@@ -178,18 +180,15 @@ def _diag_regression(
     small_diag: float,
     amplitude: float,
     drifting: bool,
-    lipschitz: Optional[float] = None,
-    domain_guard: Optional[float] = None,
 ) -> ProblemOracle:
     """``sum_i loss((A(t) x - b(t))_i)`` in dimension 10 with a diagonal A(t).
 
     The diagonal of A is ``small_diag`` for the first five coordinates and
     10 for the rest; a drifting diagonal is modulated by
     ``1 + 0.05 cos(t/200 + 2 pi i/10)``.  The target entries are
-    ``amplitude * sin(t/100 + 2 pi i/10)``.  With ``lipschitz`` the
-    reference optimum is numeric (inner descent with step 1/lipschitz from
-    the query hint); without it, it is the closed-form zero-residual point
-    ``A(t)^{-1} b(t)`` with value 0.
+    ``amplitude * sin(t/100 + 2 pi i/10)``.  The squared loss has the
+    closed-form optimum ``A(t)^{-1} b(t)`` with value 0; a robust loss has
+    a numeric one (inner descent from the query hint) and a domain guard.
     """
     total, d1, d2 = _LOSSES[loss]
     base = np.where(_IDX <= 5, small_diag, 10.0)
@@ -233,14 +232,15 @@ def _diag_regression(
 
     def hess_xx(x, t):
         a, bt = frame(t)
-        return np.diag(d2(a * x - bt) * a * a)
+        return np.diag(a * a if d2 is None else d2(a * x - bt) * a * a)
 
-    if lipschitz is None:
+    closed_form = loss == _SQUARED
+    if closed_form:
         def optimum(t, x_hint=None):
             a, bt = frame(t)
             return bt / a, 0.0
     else:
-        optimum = _numeric_optimum(value, grad_x, 10, lipschitz=lipschitz)
+        optimum = _numeric_optimum(value, grad_x, 10, lipschitz=robust_constants().L1)
 
     return ProblemOracle(
         dim=10,
@@ -249,8 +249,8 @@ def _diag_regression(
         grad_t=grad_t,
         hess_xx=hess_xx,
         optimum=optimum,
-        optimum_kind="closed_form" if lipschitz is None else "numeric",
-        domain_guard=domain_guard,
+        optimum_kind="closed_form" if closed_form else "numeric",
+        domain_guard=None if closed_form else 1e4,
         name=name,
     )
 
@@ -322,10 +322,7 @@ def make_robust(loss: str = ROBUST_GM) -> ProblemOracle:
     """
     if loss not in (ROBUST_GM, ROBUST_WELSCH):
         raise ValueError(f"unknown robust loss {loss!r}; expected robust_gm or robust_welsch")
-    return _diag_regression(
-        loss, loss, small_diag=1.0, amplitude=50.0, drifting=True,
-        lipschitz=robust_constants().L1, domain_guard=1e4,
-    )
+    return _diag_regression(loss, loss, small_diag=1.0, amplitude=50.0, drifting=True)
 
 
 def robust_constants() -> ProblemConstants:
@@ -453,7 +450,7 @@ def make_mf(
         return u, i, r, cu, ci
 
     # One slot: a live set takes ~24 bytes per revealed rating, and a
-    # second slot raised the benchmark stream's peak RSS by ~1.5 MB.
+    # second slot raised the benchmark stream's median peak RSS by ~1.7 MB.
     live_at = _memo(live_set, size=1)
 
     def live(t: float):

@@ -25,7 +25,6 @@ from predcorr import (
     stationarity_threshold,
     tail_stats,
 )
-from conftest import diag_quadratic
 from predcorr.analysis import DivergedTraceError
 from predcorr.solvers import Trace
 
@@ -274,19 +273,6 @@ class TestPredictionGap:
         fine = fake_trace([0.0, 0.1, 0.2], x=x)
         rep = check_prediction_gap(quadratic2, coarse, fine)
         assert rep.increase_coarse == pytest.approx(0.8)  # worst step wins
-        assert rep.increase_fine == pytest.approx(0.2)
-        assert rep.ratio == pytest.approx(4.0)
-
-    def test_fine_run_evaluated_on_its_own_oracle(self, quadratic2):
-        # the fine oracle's target sits at (1, 0), so its corrected points at
-        # the origin have value 0.5 instead of 0
-        x = np.zeros((3, 2))
-        coarse = fake_trace([0.0, 0.4, 0.8], x=x)
-        fine = fake_trace([0.0, 0.6, 0.7], x=x)
-        rep = check_prediction_gap(
-            quadratic2, coarse, fine, problem_fine=diag_quadratic([1.0, 4.0], [1.0, 0.0])
-        )
-        assert rep.increase_coarse == pytest.approx(0.8)
         assert rep.increase_fine == pytest.approx(0.2)
         assert rep.ratio == pytest.approx(4.0)
 
