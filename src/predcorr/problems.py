@@ -39,20 +39,22 @@ _COSP = np.cos(_PHASE)
 _SINP = np.sin(_PHASE)
 
 
-def _memo(compute, size=2):
+def _memo(compute, size=2, read_only=True):
     """Memoized ``key -> tuple of arrays`` for one problem instance.
 
     The ``size`` most recent keys are kept.  Two suit a time frame: cp with
     the extrapolated gradient and ufopc alternate between t and t - h
     within a step.  The arrays are read-only because every caller with the
-    same key shares them.
+    same key shares them, unless ``read_only`` is false: ``np.bincount``
+    copies a read-only input on every call.
     """
 
     @functools.lru_cache(maxsize=size)
     def memo(key):
         pieces = compute(key)
-        for a in pieces:
-            a.flags.writeable = False
+        if read_only:
+            for a in pieces:
+                a.flags.writeable = False
         return pieces
 
     return memo
@@ -165,8 +167,8 @@ def welsch_d2(y):
 _SQUARED = "squared"
 
 # loss name -> (total over residuals, elementwise first and second
-# derivative); None is the squared loss's unit curvature, so its Hessian
-# A(t)^2 needs no residual
+# derivative); the squared loss has unit curvature, so its Hessian A(t)^2
+# needs no residual
 _LOSSES = {
     _SQUARED: (lambda r: 0.5 * float(r @ r), lambda r: r, None),
     ROBUST_GM: (lambda r: float(geman_mcclure(r).sum()), geman_mcclure_d1, geman_mcclure_d2),
@@ -191,6 +193,7 @@ def _diag_regression(
     a numeric one (inner descent from the query hint) and a domain guard.
     """
     total, d1, d2 = _LOSSES[loss]
+    squared = loss == _SQUARED
     base = np.where(_IDX <= 5, small_diag, 10.0)
 
     if drifting:
@@ -232,10 +235,9 @@ def _diag_regression(
 
     def hess_xx(x, t):
         a, bt = frame(t)
-        return np.diag(a * a if d2 is None else d2(a * x - bt) * a * a)
+        return np.diag(a * a if squared else d2(a * x - bt) * a * a)
 
-    closed_form = loss == _SQUARED
-    if closed_form:
+    if squared:
         def optimum(t, x_hint=None):
             a, bt = frame(t)
             return bt / a, 0.0
@@ -249,8 +251,8 @@ def _diag_regression(
         grad_t=grad_t,
         hess_xx=hess_xx,
         optimum=optimum,
-        optimum_kind="closed_form" if closed_form else "numeric",
-        domain_guard=None if closed_form else 1e4,
+        optimum_kind="closed_form" if squared else "numeric",
+        domain_guard=None if squared else 1e4,
         name=name,
     )
 
@@ -451,7 +453,8 @@ def make_mf(
 
     # One slot: a live set takes ~24 bytes per revealed rating, and a
     # second slot raised the benchmark stream's median peak RSS by ~1.7 MB.
-    live_at = _memo(live_set, size=1)
+    # Writeable, because grad_x passes u and i to np.bincount 2F times.
+    live_at = _memo(live_set, size=1, read_only=False)
 
     def live(t: float):
         return live_at(_revealed(t, step_period, initial_revealed, reveal_per_step, total))
