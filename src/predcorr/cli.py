@@ -489,8 +489,15 @@ def cmd_check(config: ExperimentConfig, args, multi: bool) -> int:
 # entry point
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ConfigError (exit 1, one line)."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="predcorr",
         description="Prediction-correction solvers for time-varying smooth optimization.",
     )
@@ -514,8 +521,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if args.jobs < 1:
+            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         configs = resolve_configs(args.config)
         if args.seed is not None:
             check_seed("--seed", args.seed)

@@ -514,17 +514,20 @@ def mf_warm_start(
     if problem.grad_x is None:
         raise MissingOracleError("warm start needs grad_x")
     x = rng_from_seed(seed).standard_normal(problem.dim)
-    for it in range(max_iters):
-        g = problem.grad_x(x, 0.0)
-        gn = float(np.linalg.norm(g))
-        if not np.isfinite(gn):
-            raise RuntimeError(
-                f"warm start diverged at iteration {it}; the step size {beta} is too "
-                "large for this instance"
-            )
-        if gn <= target_grad_norm:
-            return x, it
-        x = x - beta * g
+    # An overflow makes the gradient norm non-finite, which is the error
+    # reported below, so numpy's warnings about it are silenced.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(max_iters):
+            g = problem.grad_x(x, 0.0)
+            gn = float(np.linalg.norm(g))
+            if not np.isfinite(gn):
+                raise RuntimeError(
+                    f"warm start diverged at iteration {it}; the step size {beta} is too "
+                    "large for this instance"
+                )
+            if gn <= target_grad_norm:
+                return x, it
+            x = x - beta * g
     raise RuntimeError(
         f"warm start did not reach gradient norm {target_grad_norm} in {max_iters} iterations"
     )

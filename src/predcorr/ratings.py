@@ -7,6 +7,7 @@ loading, ratings are in chronological order and ids are densely remapped.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,10 +67,12 @@ def load_ratings(path) -> RatingsDataset:
     """Load a ratings file, sort it chronologically, and densify the ids.
 
     The sort is stable, so ratings sharing a timestamp keep their file
-    order.  Malformed lines raise with the offending line number; a file
-    with no ratings is an error.
+    order.  Malformed lines, and ids or timestamps outside int64, raise with
+    the offending line number; a file with no ratings is an error.  Fields
+    go into typed 8-byte buffers, not lists of boxed numbers, which bounds
+    the parse's peak memory.
     """
-    users, items, values, stamps = [], [], [], []
+    users, items, values, stamps = array("q"), array("q"), array("d"), array("q")
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
@@ -85,7 +88,7 @@ def load_ratings(path) -> RatingsDataset:
                 items.append(int(parts[1]))
                 values.append(float(parts[2]))
                 stamps.append(int(parts[3]))
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not values:
         raise ValueError(f"{path}: no ratings found")

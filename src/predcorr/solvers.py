@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array, MissingOracleError, ProblemOracle, TimeGrid, require
+from .core import Array, ProblemOracle, TimeGrid, require
 
 TVGD = "tvgd"
 UFOPC = "ufopc"
@@ -218,9 +218,9 @@ def predict_ufopc(
     require(problem, "hess_xx")
     if P == 0:
         return x
-    g = np.asarray(problem.grad_x(x, t), dtype=float)
-    dtg = (g - np.asarray(problem.grad_x(x, t - h), dtype=float)) / h
-    H = np.asarray(problem.hess_xx(x, t), dtype=float)
+    g = problem.grad_x(x, t)
+    dtg = (g - problem.grad_x(x, t - h)) / h
+    H = problem.hess_xx(x, t)
     forcing = h * dtg + gamma * g
     z = x
     for _ in range(P):
@@ -247,20 +247,14 @@ def g_select(
     ``grad(x, t - h)``.  On the first step there is no previous time, so
     "extrapolated" falls back to "plain".
     """
-    g = np.asarray(problem.grad_x(x, t), dtype=float)
+    g = problem.grad_x(x, t)
     if choice == G_PLAIN or first_step:
         return g
     if choice != G_EXTRAPOLATED:
         raise ValueError(f"unknown g_choice {choice!r}")
     if prev_grad is None:
-        prev_grad = np.asarray(problem.grad_x(x, t - h), dtype=float)
+        prev_grad = problem.grad_x(x, t - h)
     return 2.0 * g - prev_grad
-
-
-def _required_oracles(config: SolverConfig) -> tuple[str, ...]:
-    if config.algorithm in (UFOPC, CP):
-        return ("hess_xx",)
-    return ()
 
 
 def run(
@@ -281,17 +275,15 @@ def run(
         keep per-step entering/corrected iterates in the trace (disable for
         long sweeps to bound memory).
 
-    The run stops early, with the diverged flag set, as soon as an entering
-    iterate is non-finite or leaves the domain guard, or the correction
-    produces a non-finite point.  Missing required oracles raise
+    The run stops early, with the diverged flag set, at one of two checks
+    per step.  After the entry evaluation: the entering iterate is
+    non-finite or outside the domain guard, or its value or gradient norm is
+    non-finite.  After the correction: the corrected point is non-finite or
+    outside the guard.  A missing Hessian for ufopc or cp raises
     :class:`MissingOracleError` before the first step.
     """
-    for oracle in _required_oracles(config):
-        if getattr(problem, oracle) is None:
-            raise MissingOracleError(
-                f"algorithm {config.algorithm!r} needs oracle {oracle!r} "
-                f"which problem {problem.name!r} does not provide"
-            )
+    if config.algorithm in (UFOPC, CP):
+        require(problem, "hess_xx")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({problem.dim},)")
@@ -308,7 +300,7 @@ def run(
     t_arr = np.empty(n)
     f_arr = np.empty(n)
     gn_arr = np.empty(n)
-    gap_arr = np.empty(n) if want_gap else None
+    gap_arr = np.full(n, np.nan) if want_gap else None
     pred_s = np.zeros(n)
     corr_s = np.zeros(n)
     xp_arr = np.empty((n, problem.dim)) if store_iterates else None
@@ -323,29 +315,24 @@ def run(
 
     x_in = x0.copy()
     diverged_at: Optional[int] = None
-    k = 0
     for k in range(n):
         t = grid.t(k)
         t_arr[k] = t
         if xp_arr is not None:
             xp_arr[k] = x_in
             xc_arr[k] = x_in
-        finite_entry = bool(np.isfinite(x_in).all())
-        if not finite_entry or _norm(x_in) > guard:
+        inside = np.isfinite(x_in).all() and _norm(x_in) <= guard
+        if inside:
+            f_arr[k] = problem.value(x_in, t)
+            g_in = problem.grad_x(x_in, t)
+            gn_arr[k] = _norm(g_in)
+        elif np.isfinite(x_in).all():
             with np.errstate(all="ignore"):
-                f_arr[k] = problem.value(x_in, t) if finite_entry else np.nan
-                gn_arr[k] = _norm(problem.grad_x(x_in, t)) if finite_entry else np.nan
-            if gap_arr is not None:
-                gap_arr[k] = np.nan
-            diverged_at = k
-            break
-
-        f_arr[k] = problem.value(x_in, t)
-        g_in = problem.grad_x(x_in, t)
-        gn_arr[k] = _norm(g_in)
-        if not (np.isfinite(f_arr[k]) and np.isfinite(gn_arr[k])):
-            if gap_arr is not None:
-                gap_arr[k] = np.nan
+                f_arr[k] = problem.value(x_in, t)
+                gn_arr[k] = _norm(problem.grad_x(x_in, t))
+        else:
+            f_arr[k] = gn_arr[k] = np.nan
+        if not (inside and np.isfinite(f_arr[k]) and np.isfinite(gn_arr[k])):
             diverged_at = k
             break
         if gap_arr is not None:
@@ -356,15 +343,11 @@ def run(
         try:
             x_c = correct(problem, x_in, t, config.C, config.beta, grad=g_in)
         except DivergenceError:
-            corr_s[k] = perf() - t0
-            if xc_arr is not None:
-                xc_arr[k] = np.nan
-            diverged_at = k
-            break
+            x_c = np.full(problem.dim, np.nan)
         corr_s[k] = perf() - t0
         if xc_arr is not None:
             xc_arr[k] = x_c
-        if _norm(x_c) > guard:
+        if not _norm(x_c) <= guard:
             diverged_at = k
             break
 
@@ -380,7 +363,7 @@ def run(
             if algo == FOA_MIN:
                 x_next = predict_foa_min(g_k, x_c, config.zeta, h, config.delta)
             else:
-                H_k = np.asarray(problem.hess_xx(x_c, t), dtype=float)
+                H_k = problem.hess_xx(x_c, t)
                 x_next = predict_cauchy_point(g_k, H_k, x_c, config.zeta, h, config.delta)
         pred_s[k] = perf() - t0
         x_in = x_next

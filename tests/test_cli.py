@@ -174,7 +174,8 @@ class TestConfigParsing:
 
 
 class TestMalformedNumbers:
-    """Bad numeric values end in exit 1 and a single ``error:`` line."""
+    """Bad numeric values and bad command-line options end in exit 1 and a
+    single ``error:`` line."""
 
     @pytest.mark.parametrize(
         "old, new, key",
@@ -233,6 +234,30 @@ class TestMalformedNumbers:
         err = capsys.readouterr().err.strip().split("\n")
         assert code == EXIT_USAGE
         assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+
+    @pytest.mark.parametrize(
+        "extra, key",
+        [
+            (["--seed", "abc"], "--seed"),
+            (["--jobs", "x"], "--jobs"),
+            (["--jobs", "0"], "--jobs"),
+            (["--bogus"], "--bogus"),
+        ],
+        ids=["seed_not_int", "jobs_not_int", "jobs_zero", "unknown_option"],
+    )
+    def test_bad_option(self, tmp_path, capsys, extra, key):
+        cfg = write_config(tmp_path, TOY_RUN)
+        code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")] + extra)
+        err = capsys.readouterr().err.strip().split("\n")
+        assert code == EXIT_USAGE
+        assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert "--config" in capsys.readouterr().out
 
     def test_negative_seed_override(self, tmp_path, capsys):
         cfg = write_config(tmp_path, TOY_RUN)

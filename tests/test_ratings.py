@@ -41,6 +41,11 @@ class TestLoadRatings:
         with pytest.raises(ValueError, match=":1"):
             load_ratings(path)
 
+    def test_id_outside_int64_reports_line_number(self, tmp_path):
+        path = write(tmp_path, f"1,1,1.0,5\n1,{2**63},2.0,6\n")
+        with pytest.raises(ValueError, match=":2"):
+            load_ratings(path)
+
     def test_empty_file_is_an_error(self, tmp_path):
         path = write(tmp_path, "# only comments\n\n")
         with pytest.raises(ValueError, match="no ratings"):

@@ -407,6 +407,80 @@ class TestRun:
             )
 
 
+def half_square(**pieces):
+    """``0.5 x^2`` in one dimension with domain guard 10 and a closed-form
+    optimum at zero; ``pieces`` replace oracles to force one divergence."""
+    base = ProblemOracle(
+        dim=1,
+        value=lambda x, t: 0.5 * float(x @ x),
+        grad_x=lambda x, t: x.copy(),
+        hess_xx=lambda x, t: np.eye(1),
+        optimum=lambda t, x_hint=None: (np.zeros(1), 0.0),
+        optimum_kind="closed_form",
+        domain_guard=10.0,
+        name="half_square",
+    )
+    return replace(base, **pieces)
+
+
+NAN = math.nan
+
+
+class TestDivergenceCases:
+    """Each way a run can diverge, pinned on the trace it leaves: length,
+    step, which of f_pred / grad_norm / gap are NaN, and the x_corr row of
+    the diverged step (the entry itself when the run stops at the entry)."""
+
+    @pytest.mark.parametrize(
+        "problem, config, steps, nan_f, nan_gn, nan_gap, last_x_corr",
+        [
+            # the quadratic model's NaN curvature makes the prediction NaN
+            (
+                half_square(hess_xx=lambda x, t: np.full((1, 1), NAN)),
+                SolverConfig(UFOPC, C=1, beta=0.5, P=1, alpha=1.0),
+                2, [0, 1], [0, 1], [0, 1], NAN,
+            ),
+            # a prediction of length zeta*h = 100 lands at -99.5
+            (
+                half_square(),
+                SolverConfig(FOA_MIN, C=1, beta=0.5, zeta=1000.0),
+                2, [0, 0], [0, 0], [0, 1], -99.5,
+            ),
+            (
+                half_square(value=lambda x, t: NAN if t > 0 else 0.5 * float(x @ x)),
+                SolverConfig(TVGD, C=1, beta=0.5),
+                2, [0, 1], [0, 0], [0, 1], 0.5,
+            ),
+            # the second correction gradient at step 1 (x = 0.125) is NaN
+            (
+                half_square(grad_x=lambda x, t: np.where(np.abs(x) < 0.2, NAN, x)),
+                SolverConfig(TVGD, C=2, beta=0.5),
+                2, [0, 0], [0, 0], [0, 0], NAN,
+            ),
+            # corrections overshoot: 1 -> -2 -> 4 -> -8 -> 16
+            (
+                half_square(),
+                SolverConfig(TVGD, C=1, beta=3.0),
+                4, [0] * 4, [0] * 4, [0] * 4, 16.0,
+            ),
+        ],
+        ids=[
+            "non_finite_entry", "entry_outside_guard", "non_finite_value",
+            "correction_raises", "corrected_outside_guard",
+        ],
+    )
+    def test_trace_at_divergence(
+        self, problem, config, steps, nan_f, nan_gn, nan_gap, last_x_corr
+    ):
+        tr = run(problem, config, TimeGrid(0.1, 10), np.ones(1))
+        assert tr.diverged and tr.diverged_step == steps - 1
+        assert len(tr) == len(tr.x_corr) == len(tr.gap) == steps
+        assert np.isnan(tr.f_pred).astype(int).tolist() == nan_f
+        assert np.isnan(tr.grad_norm).astype(int).tolist() == nan_gn
+        assert np.isnan(tr.gap).astype(int).tolist() == nan_gap
+        assert np.array_equal(tr.x_corr[-1], [last_x_corr], equal_nan=True)
+
+
 class TestOracleBudget:
     """Exact ``grad_x`` calls per step of ``run()``: one entry gradient,
     which doubles as the first correction gradient, C - 1 further
