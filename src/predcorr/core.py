@@ -140,9 +140,6 @@ class ProblemConstants:
             raise ValueError("rho requires both mu and L1")
         return 1.0 - self.mu / self.L1
 
-    def gauge_at(self, t: float) -> float:
-        return 0.0 if self.gauge is None else float(self.gauge(t))
-
 
 def require(problem: ProblemOracle, *oracles: str) -> None:
     """Raise ``MissingOracleError`` unless all named optional oracles exist."""

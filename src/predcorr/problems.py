@@ -61,12 +61,13 @@ def _memo(compute, size=2, read_only=True):
 
 
 def _numeric_optimum(value, grad_x, dim, lipschitz, tol=1e-10, max_iters=100_000):
-    """Inner solver realizing a reference optimum for problems without one.
+    """Inner solver realizing the toy's reference optimum.
 
     Time-invariant gradient descent with step 1/lipschitz from the caller's
     hint (the current iterate, typically) until the gradient norm crosses
-    ``tol``.  Finds the stationary point of the basin the hint sits in, which
-    is the meaningful reference for tracking plots on non-convex problems.
+    ``tol``, or for at most ``max_iters`` steps.  Finds the stationary point
+    of the ripple basin the hint sits in, which is the meaningful reference
+    for tracking plots on the toy.
     """
 
     def optimum(t: float, x_hint: Optional[Array] = None):
@@ -188,9 +189,10 @@ def _diag_regression(
     The diagonal of A is ``small_diag`` for the first five coordinates and
     10 for the rest; a drifting diagonal is modulated by
     ``1 + 0.05 cos(t/200 + 2 pi i/10)``.  The target entries are
-    ``amplitude * sin(t/100 + 2 pi i/10)``.  The squared loss has the
-    closed-form optimum ``A(t)^{-1} b(t)`` with value 0; a robust loss has
-    a numeric one (inner descent from the query hint) and a domain guard.
+    ``amplitude * sin(t/100 + 2 pi i/10)``.  Every loss is nonnegative and
+    vanishes only at a zero residual, so the optimum is the closed form
+    ``A(t)^{-1} b(t)`` with value 0 whatever the hint.  A robust loss also
+    gets a domain guard.
     """
     total, d1, d2 = _LOSSES[loss]
     squared = loss == _SQUARED
@@ -237,12 +239,9 @@ def _diag_regression(
         a, bt = frame(t)
         return np.diag(a * a if squared else d2(a * x - bt) * a * a)
 
-    if squared:
-        def optimum(t, x_hint=None):
-            a, bt = frame(t)
-            return bt / a, 0.0
-    else:
-        optimum = _numeric_optimum(value, grad_x, 10, lipschitz=robust_constants().L1)
+    def optimum(t, x_hint=None):
+        a, bt = frame(t)
+        return bt / a, 0.0
 
     return ProblemOracle(
         dim=10,
@@ -251,7 +250,7 @@ def _diag_regression(
         grad_t=grad_t,
         hess_xx=hess_xx,
         optimum=optimum,
-        optimum_kind="closed_form" if squared else "numeric",
+        optimum_kind="closed_form",
         domain_guard=None if squared else 1e4,
         name=name,
     )
@@ -319,8 +318,9 @@ def make_robust(loss: str = ROBUST_GM) -> ProblemOracle:
     The diagonal of A is 1 on the first five coordinates and breathes, and
     the target amplitude is 50.  Both losses saturate, so residuals far
     from zero contribute almost no gradient and the objective is
-    non-convex.  The reference optimum is numeric (inner descent from the
-    query hint).
+    non-convex.  Both losses are nonnegative and vanish only at a zero
+    residual, so the reference optimum is the closed form
+    ``A(t)^{-1} b(t)`` with value 0, as for least squares.
     """
     if loss not in (ROBUST_GM, ROBUST_WELSCH):
         raise ValueError(f"unknown robust loss {loss!r}; expected robust_gm or robust_welsch")

@@ -236,25 +236,21 @@ def g_select(
     t: float,
     h: float,
     choice: str,
-    prev_grad: Optional[Array] = None,
     first_step: bool = False,
 ) -> Array:
     """Return the prediction direction vector for FOA_MIN / CP.
 
     "plain" is the current gradient.  "extrapolated" is
     ``2*grad(x, t) - grad(x, t - h)``, a one-step linear extrapolation of
-    the gradient to the next time; ``prev_grad``, when given, stands in for
-    ``grad(x, t - h)``.  On the first step there is no previous time, so
-    "extrapolated" falls back to "plain".
+    the gradient to the next time.  On the first step there is no previous
+    time, so "extrapolated" falls back to "plain".
     """
     g = problem.grad_x(x, t)
     if choice == G_PLAIN or first_step:
         return g
     if choice != G_EXTRAPOLATED:
         raise ValueError(f"unknown g_choice {choice!r}")
-    if prev_grad is None:
-        prev_grad = problem.grad_x(x, t - h)
-    return 2.0 * g - prev_grad
+    return 2.0 * g - problem.grad_x(x, t - h)
 
 
 def run(

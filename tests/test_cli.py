@@ -210,11 +210,13 @@ class TestMalformedNumbers:
             ("run", "mf_file", "", "", "directory", "directory"),
             ("run", "mf_synth", "warm_beta = 5", "warm_beta = 1e6", None, "warm start diverged"),
             ("check", "envelope", "seed = 0", "seed = 0\nmu = 0\nG2 = 1", None, "mu > 0"),
+            ("check", "mf_synth", "seed = 0", "seed = 0\nchecks = lipschitz_optimum\nG2 = 1",
+             None, "optimum"),
         ],
         ids=[
             "mf_latent_dim", "synth_users", "trials", "negative_mu", "mu_above_L1",
             "malformed_ratings_line", "ratings_directory", "diverging_warm_start",
-            "pl_envelope_zero_mu",
+            "pl_envelope_zero_mu", "mf_lipschitz_optimum",
         ],
     )
     def test_range_and_input_errors(self, tmp_path, capsys, verb, base, old, new, ratings, key):
@@ -569,17 +571,22 @@ delta = 1e-10
         assert "0 violations" in (out / "checks.csv").read_text()
 
     def test_lipschitz_check_on_constant_optimal_value(self, tmp_path):
-        text = """
+        # the toy's numeric optimum reaches its constant f* to rounding; the
+        # robust optimum is the closed form with f* = 0 exactly
+        for problem, h, tol in (("toy", 0.1, 1e-12), ("robust_gm", 0.05, 0.0)):
+            text = f"""
 [experiment]
-problem = toy
-h = 0.1
+problem = {problem}
+h = {h}
 steps = 30
-x0 = 8.0
 checks = lipschitz_optimum
 G2 = 1.0
 """
-        cfg = write_config(tmp_path, text)
-        assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+            cfg = write_config(tmp_path, text, name=f"{problem}.ini")
+            out = tmp_path / problem
+            assert main(["check", "--config", cfg, "--out", str(out)]) == EXIT_OK
+            value = float((out / "checks.csv").read_text().splitlines()[1].split(",")[3])
+            assert abs(value + h) <= tol   # -G2 * h with G2 = 1
 
     def test_lipschitz_needs_g2_constant(self, tmp_path):
         text = CHECK_FAST.replace("checks = ratio_bound", "checks = lipschitz_optimum")

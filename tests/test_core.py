@@ -59,9 +59,6 @@ class TestProblemConstants:
         with pytest.raises(ValueError):
             ProblemConstants(L2=-1.0)
 
-    def test_gauge_defaults_to_zero(self):
-        assert ProblemConstants().gauge_at(3.7) == 0.0
-
 
 class TestFiniteDifferenceCheck:
     def test_quadratic_gradient_is_near_exact(self):

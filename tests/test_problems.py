@@ -19,7 +19,13 @@ from predcorr import (
     synth_ratings,
     toy_constants,
 )
+from predcorr.config import PROBLEMS
 from predcorr.problems import (
+    LINREG_DRIFT,
+    LINREG_STATIC,
+    ROBUST_GM,
+    ROBUST_WELSCH,
+    _numeric_optimum,
     geman_mcclure,
     geman_mcclure_d1,
     welsch,
@@ -126,6 +132,20 @@ class TestToy:
         assert abs(toy.grad_x(x_star, 0.0)[0]) < 1e-9
         assert f_star == toy.value(x_star, 0.0)
 
+    def test_numeric_optimum_caps_iterations(self):
+        # a slope the descent can never flatten: it stops at the cap with a
+        # finite point
+        calls = [0]
+
+        def grad_x(x, t):
+            calls[0] += 1
+            return np.ones(2)
+
+        optimum = _numeric_optimum(lambda x, t: float(x.sum()), grad_x, 2, 1.0, max_iters=7)
+        x_star, f_star = optimum(0.0)
+        assert calls[0] == 7
+        assert np.array_equal(x_star, np.full(2, -7.0)) and f_star == -14.0
+
     def test_constants(self):
         c = toy_constants()
         assert (c.L1, c.L2, c.L3, c.Z) == (1.1, 11.0, 110.0, 10.0)
@@ -180,6 +200,27 @@ class TestLinreg:
             assert abs(p.grad_t(x, t)) <= linreg_g2_bound(ax) + 1e-12
 
 
+class TestClosedFormOptimum:
+    """Every diagonal-regression preset minimizes at the zero residual
+    ``A(t)^{-1} b(t)``, where each loss and so the objective is 0."""
+
+    @pytest.mark.parametrize("name", [LINREG_STATIC, LINREG_DRIFT, ROBUST_GM, ROBUST_WELSCH])
+    def test_zero_residual_point_is_the_minimum(self, name):
+        p = PROBLEMS[name].build(None, None, None)
+        assert p.optimum_kind == "closed_form"
+        rng = np.random.default_rng(13)
+        for t in np.concatenate([[0.0, -0.05, -50.0], rng.uniform(-50.0, 5000.0, 12)]):
+            x_star, f_star = p.optimum(t)
+            for hint in (np.zeros(10), 50.0 * rng.standard_normal(10)):
+                x_h, f_h = p.optimum(t, hint)
+                assert x_h.tobytes() == x_star.tobytes() and f_h == f_star
+            assert f_star == 0.0
+            assert np.linalg.norm(p.grad_x(x_star, t)) < 1e-12
+            assert p.value(x_star, t) < 1e-20
+            for scale in (1e-3, 1.0, 50.0):
+                assert p.value(x_star + scale * rng.standard_normal(10), t) >= f_star
+
+
 class TestRobust:
     def test_loss_values_at_anchor_points(self):
         assert geman_mcclure(np.array(0.0)) == 0.0
@@ -213,24 +254,6 @@ class TestRobust:
         assert rep.grad_x_max_rel < 1e-6
         assert rep.grad_t_max_rel < 1e-6
         assert rep.hess_xx_max_rel < 1e-4
-
-    def test_numeric_optimum(self):
-        p = make_robust("robust_gm")
-        assert p.optimum_kind == "numeric"
-        # hint at the zero-residual point: the inner solver converges fast
-        idx = np.arange(1, 11)
-        a0 = np.where(idx <= 5, 1.0, 10.0) * (1 + 0.05 * np.cos(2 * np.pi * idx / 10.0))
-        b0 = 50.0 * np.sin(2 * np.pi * idx / 10.0)
-        x_star, f_star = p.optimum(0.0, b0 / a0)
-        assert np.linalg.norm(p.grad_x(x_star, 0.0)) < 1e-9
-        assert f_star <= p.value(b0 / a0, 0.0)
-
-    def test_numeric_optimum_caps_iterations_on_flat_hint(self):
-        # saturated residuals give a nearly flat landscape; the inner solver
-        # stops at its iteration cap and still returns finite values
-        p = make_robust("robust_gm")
-        x_star, f_star = p.optimum(0.0, np.zeros(10))
-        assert np.all(np.isfinite(x_star)) and np.isfinite(f_star)
 
     def test_constants(self):
         assert robust_constants().L1 == pytest.approx(110.25)

@@ -20,6 +20,7 @@ from predcorr import (
     g_select,
     make_linreg,
     make_mf,
+    make_robust,
     make_toy,
     predict_cauchy_point,
     predict_foa_min,
@@ -264,13 +265,6 @@ class TestGSelect:
         out = g_select(p, x, 0.0, 0.1, "extrapolated", first_step=True)
         assert np.array_equal(out, p.grad_x(x, 0.0))
 
-    def test_explicit_prev_grad_is_used(self):
-        p = diag_quadratic([1.0])
-        x = np.array([2.0])
-        prev = np.array([0.5])
-        out = g_select(p, x, 1.0, 0.1, "extrapolated", prev_grad=prev)
-        assert np.array_equal(out, 2.0 * p.grad_x(x, 1.0) - prev)
-
     def test_second_order_extrapolation_error(self):
         # against the analytic mixed derivative of the least-squares problem
         p = make_linreg("linreg_static")
@@ -383,11 +377,12 @@ class TestRun:
             run(mf, cfg, TimeGrid(0.01, 4), np.zeros(mf.dim))
 
     def test_gap_recorded_for_closed_form(self):
-        p = make_linreg("linreg_static")
         cfg = SolverConfig(algorithm=TVGD, C=1, beta=0.01)
-        tr = run(p, cfg, TimeGrid(0.1, 10), np.zeros(10))
-        assert tr.gap is not None
-        assert tr.gap == pytest.approx(tr.f_pred, rel=1e-15)  # optimal value is zero
+        for p in (make_linreg("linreg_static"), make_robust("robust_gm"),
+                  make_robust("robust_welsch")):
+            tr = run(p, cfg, TimeGrid(0.1, 10), np.zeros(10))
+            assert tr.gap is not None
+            assert tr.gap.tobytes() == tr.f_pred.tobytes()  # optimal value is zero
 
     def test_gap_skipped_for_numeric_by_default(self):
         toy = make_toy()
