@@ -54,7 +54,6 @@ from .analysis import (
     OrderFit,
     PostConvergenceReport,
     PredictionGapReport,
-    SweepResult,
     TailStats,
     average_gradient_bound,
     bound_tol,

@@ -86,27 +86,13 @@ class OrderFit:
     max_abs_residual: float
 
 
-@dataclass
-class SweepResult:
-    """Per-solver summary of an h-sweep.
-
-    ``stats`` maps each sampling period to its tail statistics; ``fits``
-    holds one log-log order fit per statistic that was positive at every
-    period (fits need at least three periods).
-    """
-
-    solver: str
-    stats: dict
-    fits: dict
-
-
-def summarize_sweep(table: dict) -> list[SweepResult]:
+def summarize_sweep(table: dict) -> list[tuple[str, str, OrderFit]]:
     """Fit empirical orders for every solver in a {solver: {h: TailStats}}
-    table.  A statistic is fitted only when it is present and positive at
-    every period and there are at least three periods."""
-    out = []
+    table and return one ``(solver, stat, fit)`` row per fitted statistic,
+    solvers in sorted order.  A statistic is fitted only when it is present
+    and positive at every period and there are at least three periods."""
+    rows = []
     for label, by_h in sorted(table.items()):
-        fits = {}
         for stat in ("max_grad", "mean_grad", "max_gap", "mean_gap"):
             pts = []
             for h, tail in sorted(by_h.items()):
@@ -116,9 +102,8 @@ def summarize_sweep(table: dict) -> list[SweepResult]:
                 if v is not None and v > 0:
                     pts.append((h, v))
             if len(pts) >= 3 and len(pts) == len(by_h):
-                fits[stat] = fit_order(pts)
-        out.append(SweepResult(solver=label, stats=dict(by_h), fits=fits))
-    return out
+                rows.append((label, stat, fit_order(pts)))
+    return rows
 
 
 def fit_order(points: Sequence[tuple[float, float]]) -> OrderFit:
@@ -196,6 +181,8 @@ def check_tvgd_pl_envelope(trace: Trace, constants: ProblemConstants, grid: Time
     for name in ("mu", "L1", "G2"):
         if getattr(constants, name) is None:
             raise ValueError(f"envelope check needs constants.{name}")
+    if not constants.mu > 0:
+        raise ValueError(f"envelope check needs constants.mu > 0, got {constants.mu}")
     rho = constants.rho
     k = np.arange(len(trace), dtype=float)
     rho_k = rho**k
@@ -205,6 +192,8 @@ def check_tvgd_pl_envelope(trace: Trace, constants: ProblemConstants, grid: Time
 
 def envelope_limit(constants: ProblemConstants, h: float) -> float:
     """Asymptotic value of the envelope: ``2 G2 h / (1 - rho)``."""
+    if constants.mu is None or not constants.mu > 0:
+        raise ValueError(f"envelope limit needs constants.mu > 0, got {constants.mu}")
     return 2.0 * constants.G2 * h / (1.0 - constants.rho)
 
 
@@ -256,6 +245,28 @@ def g2_bar(constants: ProblemConstants, zeta: float, delta: float, h: float) -> 
     )
 
 
+def _solver_terms(
+    mode: str,
+    constants: ProblemConstants,
+    h: float,
+    zeta: Optional[float],
+    delta: Optional[float],
+) -> tuple[float, float, float]:
+    """``(stationarity threshold, drift slack, horizon unit)`` of one step of
+    ``mode``; the three public functions that read it give the formulas."""
+    if mode == TVGD:
+        if constants.L1 is None or constants.G2 is None:
+            raise ValueError("TVGD threshold needs constants.L1 and constants.G2")
+        threshold = 2.0 * math.sqrt(constants.L1 * (1.0 + constants.G2) * h)
+        return threshold, 2.0 * constants.G2 * h, 2.0 * h
+    if mode == FOA_MIN:
+        if zeta is None or delta is None:
+            raise ValueError("FOA_MIN threshold needs zeta and delta")
+        gb = g2_bar(constants, zeta, delta, h)
+        return math.sqrt(2.0 * constants.L1 * (1.0 + gb)) * h, gb * h * h, h * h
+    raise ValueError(f"unknown mode {mode!r}; expected {TVGD!r} or {FOA_MIN!r}")
+
+
 def stationarity_threshold(
     mode: str,
     constants: ProblemConstants,
@@ -268,16 +279,7 @@ def stationarity_threshold(
     TVGD:     2 sqrt(L1 (1 + G2) h)
     FOA_MIN:  sqrt(2 L1 (1 + g2_bar)) h
     """
-    if mode == TVGD:
-        if constants.L1 is None or constants.G2 is None:
-            raise ValueError("TVGD threshold needs constants.L1 and constants.G2")
-        return 2.0 * math.sqrt(constants.L1 * (1.0 + constants.G2) * h)
-    if mode == FOA_MIN:
-        if zeta is None or delta is None:
-            raise ValueError("FOA_MIN threshold needs zeta and delta")
-        gb = g2_bar(constants, zeta, delta, h)
-        return math.sqrt(2.0 * constants.L1 * (1.0 + gb)) * h
-    raise ValueError(f"unknown mode {mode!r}; expected {TVGD!r} or {FOA_MIN!r}")
+    return _solver_terms(mode, constants, h, zeta, delta)[0]
 
 
 @dataclass
@@ -322,18 +324,7 @@ def check_post_convergence(
         raise ValueError("post-convergence check needs a trace with gaps")
     if trace.diverged:
         raise DivergedTraceError(trace.diverged_step)
-    if constants.L1 is None:
-        raise ValueError("post-convergence check needs constants.L1")
-    if mode == TVGD:
-        if constants.G2 is None:
-            raise ValueError("TVGD mode needs constants.G2")
-        drift = 2.0 * constants.G2 * h
-    elif mode == FOA_MIN:
-        if zeta is None or delta is None:
-            raise ValueError("FOA_MIN mode needs zeta and delta")
-        drift = g2_bar(constants, zeta, delta, h) * h * h
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    drift = _solver_terms(mode, constants, h, zeta, delta)[1]
 
     grads = trace.grad_norm
     gaps = trace.gap
@@ -399,18 +390,13 @@ def average_gradient_bound(
         raise ValueError("average-gradient check needs a trace with gaps")
     if trace.diverged:
         raise DivergedTraceError(trace.diverged_step)
+    bound, _, unit = _solver_terms(mode, constants, h, zeta, delta)
     gap0 = float(trace.gap[k0])
-    if mode == TVGD:
-        horizon = max(int(math.ceil(gap0 / (2.0 * h))), 1)
-    elif mode == FOA_MIN:
-        horizon = max(int(math.ceil(gap0 / (h * h))), 1)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
+    horizon = max(int(math.ceil(gap0 / unit)), 1)
     if k0 + horizon > len(trace):
         raise ValueError(
             f"trace has {len(trace)} steps but the horizon needs {k0 + horizon}"
         )
-    bound = stationarity_threshold(mode, constants, h, zeta=zeta, delta=delta)
     avg = float(np.mean(trace.grad_norm[k0:k0 + horizon]))
     return AverageGradientReport(average=avg, bound=bound, horizon=horizon, start=k0)
 
@@ -444,7 +430,8 @@ class PredictionGapReport:
     """One-step value increase at two sampling periods and their ratio.
 
     A ratio near 4 under period halving indicates a second-order increase;
-    near 2, first-order.
+    near 2, first-order.  The ratio is NaN unless both maxima are positive:
+    a run whose predictions never raised f has no increase to compare.
     """
 
     increase_coarse: float
@@ -453,11 +440,16 @@ class PredictionGapReport:
 
 
 def check_prediction_gap(
-    problem: ProblemOracle, trace_coarse: Trace, trace_fine: Trace
+    problem_coarse: ProblemOracle,
+    trace_coarse: Trace,
+    problem_fine: ProblemOracle,
+    trace_fine: Trace,
 ) -> PredictionGapReport:
-    inc_c = max_prediction_increase(problem, trace_coarse)
-    inc_f = max_prediction_increase(problem, trace_fine)
-    ratio = math.inf if inc_f == 0 else inc_c / inc_f
+    """Largest prediction increases of a coarse and a fine run, each on its
+    own oracle (a matrix-factorization problem is built per period)."""
+    inc_c = max_prediction_increase(problem_coarse, trace_coarse)
+    inc_f = max_prediction_increase(problem_fine, trace_fine)
+    ratio = inc_c / inc_f if inc_c > 0 and inc_f > 0 else math.nan
     return PredictionGapReport(inc_c, inc_f, ratio)
 
 

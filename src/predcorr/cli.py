@@ -43,7 +43,7 @@ from .config import (
 from .core import MissingOracleError, ProblemOracle, TimeGrid, finite_difference_check
 from .problems import make_linreg, make_mf, make_robust, make_toy
 from .ratings import RatingsDataset, synth_ratings
-from .solvers import CP, FOA_MIN, TVGD, UFOPC, SolverConfig, Trace, run
+from .solvers import CP, FOA_MIN, TVGD, SolverConfig, Trace, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -67,16 +67,20 @@ def _fmt(v: Optional[float]) -> str:
 
 
 def _write_atomic(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    """Write through a temp file and a rename; an OS error becomes a ConfigError."""
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def trace_csv(trace: Trace, live_timing: bool) -> str:
@@ -209,23 +213,6 @@ def cmd_run(config: ExperimentConfig, args, multi: bool) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
-def sweep_stat_table(results: list[RunResult]) -> dict[str, dict[float, analysis.TailStats]]:
-    table: dict[str, dict[float, analysis.TailStats]] = {}
-    for res in results:
-        table.setdefault(res.label, {})[res.h] = res.tail
-    return table
-
-
-def fit_sweep_orders(table: dict[str, dict[float, analysis.TailStats]]):
-    """Flatten per-solver sweep summaries to (solver, stat, fit) rows."""
-    rows = []
-    for result in analysis.summarize_sweep(table):
-        for stat in ("max_grad", "mean_grad", "max_gap", "mean_gap"):
-            if stat in result.fits:
-                rows.append((result.solver, stat, result.fits[stat]))
-    return rows
-
-
 def cmd_sweep(config: ExperimentConfig, args, multi: bool) -> int:
     if len(config.grid) < 3:
         print("[sweep] warning: fewer than 3 grid points; slopes are not fitted", file=sys.stderr)
@@ -250,10 +237,12 @@ def cmd_sweep(config: ExperimentConfig, args, multi: bool) -> int:
         )
     _write_atomic(out / "sweep.csv", "\n".join(lines) + "\n")
 
-    fits = fit_sweep_orders(sweep_stat_table(results))
+    table: dict[str, dict[float, analysis.TailStats]] = {}
+    for res in results:
+        table.setdefault(res.label, {})[res.h] = res.tail
     slope_lines = [SLOPES_HEADER]
     print(f"[sweep] {config.problem}: fitted log-log orders")
-    for label, stat, fit in fits:
+    for label, stat, fit in analysis.summarize_sweep(table):
         slope_lines.append(
             f"{label},{stat},{_fmt(fit.slope)},{_fmt(fit.intercept)},{_fmt(fit.max_abs_residual)}"
         )
@@ -397,13 +386,14 @@ _RATIO_DEFAULTS = {TVGD: (1.6, 2.4), FOA_MIN: (3.0, 5.0), CP: (3.0, 5.0)}
 
 
 def check_prediction_gap_cmd(config: ExperimentConfig, setup: Setup) -> list[CheckOutcome]:
+    solvers = [s for s in config.solvers if s.algorithm in _RATIO_DEFAULTS]
+    if not solvers:
+        raise ConfigError("prediction_gap needs a tvgd, foa_min or cp solver section")
     problem_h = setup.problem
     h, steps = setup.grid[0]
     problem_f = build_problem(config, setup.dataset, h=h / 2)
     outcomes = []
-    for solver in config.solvers:
-        if solver.algorithm == UFOPC:
-            continue
+    for solver in solvers:
         tr_c = _trace_for_check(
             config, problem_h, solver, h, steps, setup.x0, need_gap=False, store=True
         )
@@ -414,20 +404,19 @@ def check_prediction_gap_cmd(config: ExperimentConfig, setup: Setup) -> list[Che
             tr, h_run = (tr_c, h) if tr_c.diverged else (tr_f, h / 2)
             outcomes.append(_diverged("prediction_gap", solver.label, tr, h_run))
             continue
-        inc_c = analysis.max_prediction_increase(problem_h, tr_c)
-        inc_f = analysis.max_prediction_increase(problem_f, tr_f)
-        ratio = float("inf") if inc_f == 0 else inc_c / inc_f
+        rep = analysis.check_prediction_gap(problem_h, tr_c, problem_f, tr_f)
         lo, hi = _RATIO_DEFAULTS[solver.algorithm]
         lo = config.check_params.get("ratio_min", lo)
         hi = config.check_params.get("ratio_max", hi)
-        ok = lo <= ratio <= hi
+        ok = lo <= rep.ratio <= hi
         outcomes.append(
             CheckOutcome(
                 "prediction_gap",
                 solver.label,
                 ok,
-                ratio,
-                f"max increase {inc_c:.3e} (h={h:g}) vs {inc_f:.3e} (h={h/2:g}), window [{lo}, {hi}]",
+                rep.ratio,
+                f"max increase {rep.increase_coarse:.3e} (h={h:g}) vs "
+                f"{rep.increase_fine:.3e} (h={h/2:g}), window [{lo}, {hi}]",
             )
         )
     return outcomes

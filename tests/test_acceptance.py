@@ -54,6 +54,7 @@ def theorem_solver(algorithm: str, beta: float, zeta: float = 1.0, g_choice: str
 # criterion 1: order in h for the PL benchmark
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_1_pl_gap_orders():
     problem = make_linreg("linreg_static")
     grid5 = [(0.1, 2000), (0.01, 20000), (0.001, 200000)]
@@ -88,6 +89,7 @@ def test_criterion_1_pl_gap_orders():
 # criterion 2: order in h for the non-convex robust benchmarks
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_2_nonconvex_gradient_orders():
     grid7 = [(0.05, 20000), (0.01, 100000), (0.001, 1000000)]
     x0 = rng_from_seed(0).standard_normal(10)
@@ -333,6 +335,7 @@ def test_criterion_8_oracle_integrity():
 # criterion 9: streaming factorization at desk scale
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_9_mf_prediction_beats_gradient_only():
     latent, reg, h, beta, zeta = 20, 0.01, 0.01, 10.0, 10.0
     reveal, initial = 30, 10_000

@@ -8,6 +8,7 @@ from predcorr import (
     ProblemOracle,
     SolverConfig,
     TimeGrid,
+    average_gradient_bound,
     bound_tol,
     check_lipschitz_optimum,
     check_post_convergence,
@@ -150,8 +151,15 @@ class TestThresholds:
         assert thr == pytest.approx(math.sqrt(2 * 2 * 43.5) * 0.1, rel=1e-15)
 
     def test_unknown_mode(self):
-        with pytest.raises(ValueError):
-            stationarity_threshold("cp", ProblemConstants(L1=1.0), h=0.1)
+        # one rule for all three users of the per-solver terms
+        c = ProblemConstants(L1=1.0, G2=1.0)
+        tr = fake_trace([1.0, 1.0], gaps=[1.0, 1.0])
+        with pytest.raises(ValueError, match="unknown mode"):
+            stationarity_threshold("cp", c, h=0.1)
+        with pytest.raises(ValueError, match="unknown mode"):
+            check_post_convergence(tr, 1.0, c, h=0.1, mode="cp")
+        with pytest.raises(ValueError, match="unknown mode"):
+            average_gradient_bound(tr, c, h=0.1, mode="cp")
 
 
 class TestLipschitzOptimum:
@@ -210,6 +218,12 @@ class TestEnvelope:
         tr = fake_trace([1.0, 1.0], gaps=[1.0, 1.0])
         with pytest.raises(ValueError, match="G2"):
             check_tvgd_pl_envelope(tr, ProblemConstants(L1=1.0, mu=0.5), TimeGrid(0.1, 2))
+        # mu = 0 gives rho = 1: the envelope divides by 1 - rho
+        zero_mu = ProblemConstants(L1=100.0, mu=0.0, G2=1.0)
+        with pytest.raises(ValueError, match="mu"):
+            check_tvgd_pl_envelope(tr, zero_mu, TimeGrid(0.1, 2))
+        with pytest.raises(ValueError, match="mu"):
+            envelope_limit(zero_mu, h=0.1)
 
     def test_needs_gaps(self):
         with pytest.raises(ValueError, match="gaps"):
@@ -271,10 +285,27 @@ class TestPredictionGap:
         x = np.zeros((3, 2))
         coarse = fake_trace([0.0, 0.4, 0.8], x=x)
         fine = fake_trace([0.0, 0.1, 0.2], x=x)
-        rep = check_prediction_gap(quadratic2, coarse, fine)
+        rep = check_prediction_gap(quadratic2, coarse, quadratic2, fine)
         assert rep.increase_coarse == pytest.approx(0.8)  # worst step wins
         assert rep.increase_fine == pytest.approx(0.2)
         assert rep.ratio == pytest.approx(4.0)
+        # a non-positive maximum (predictions never raised f) has no ratio
+        lowering = fake_trace([0.0, -0.1, -0.2], x=x)
+        rep = check_prediction_gap(quadratic2, coarse, quadratic2, lowering)
+        assert rep.increase_fine == pytest.approx(-0.1)
+        assert math.isnan(rep.ratio)
+        rep = check_prediction_gap(quadratic2, lowering, quadratic2, lowering)
+        assert math.isnan(rep.ratio)
+        # each run is evaluated on its own oracle: f = f_quadratic2 + 0.1
+        shifted = ProblemOracle(
+            dim=2,
+            value=lambda x, t: quadratic2.value(x, t) + 0.1,
+            grad_x=quadratic2.grad_x,
+        )
+        rep = check_prediction_gap(quadratic2, coarse, shifted, fine)
+        assert rep.increase_coarse == pytest.approx(0.8)
+        assert rep.increase_fine == pytest.approx(0.1)
+        assert rep.ratio == pytest.approx(8.0)
 
     def test_increase_uses_corrected_point_value(self, quadratic2):
         x = np.array([[1.0, 0.0], [0.0, 0.0]])  # f(corrected_0) = 0.5

@@ -16,10 +16,9 @@ from predcorr.cli import (
     EXIT_OK,
     EXIT_USAGE,
     TRACE_HEADER,
-    fit_sweep_orders,
     main,
 )
-from predcorr.analysis import TailStats
+from predcorr.analysis import TailStats, summarize_sweep
 from predcorr.config import ConfigError, parse_config, resolve_configs
 
 TOY_RUN = """
@@ -212,11 +211,14 @@ class TestMalformedNumbers:
             ("check", "envelope", "seed = 0", "seed = 0\nmu = 0\nG2 = 1", None, "mu > 0"),
             ("check", "mf_synth", "seed = 0", "seed = 0\nchecks = lipschitz_optimum\nG2 = 1",
              None, "optimum"),
+            ("check", "toy", "seed = 0\n\n[solver foa_min]\nalgorithm = foa_min",
+             "seed = 0\nchecks = prediction_gap\n\n[solver foa_min]\nalgorithm = ufopc",
+             None, "prediction_gap needs"),
         ],
         ids=[
             "mf_latent_dim", "synth_users", "trials", "negative_mu", "mu_above_L1",
             "malformed_ratings_line", "ratings_directory", "diverging_warm_start",
-            "pl_envelope_zero_mu", "mf_lipschitz_optimum",
+            "pl_envelope_zero_mu", "mf_lipschitz_optimum", "prediction_gap_no_solver",
         ],
     )
     def test_range_and_input_errors(self, tmp_path, capsys, verb, base, old, new, ratings, key):
@@ -236,6 +238,16 @@ class TestMalformedNumbers:
         err = capsys.readouterr().err.strip().split("\n")
         assert code == EXIT_USAGE
         assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+
+    def test_unwritable_out_dir(self, tmp_path, capsys):
+        # the runs finish, then the output directory cannot be created
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cfg = write_config(tmp_path, TOY_RUN)
+        code = main(["run", "--config", cfg, "--out", str(blocker / "out")])
+        err = capsys.readouterr().err.strip().split("\n")
+        assert code == EXIT_USAGE
+        assert len(err) == 1 and err[0].startswith(f"error: cannot write {blocker}")
 
     @pytest.mark.parametrize(
         "extra, key",
@@ -461,7 +473,7 @@ class TestSweepCommand:
                 for h in (0.1, 0.01, 0.001)
             }
         }
-        fits = {(label, stat): fit for label, stat, fit in fit_sweep_orders(table)}
+        fits = {(label, stat): fit for label, stat, fit in summarize_sweep(table)}
         assert fits[("solverx", "mean_grad")].slope == pytest.approx(2.0, abs=1e-9)
         assert ("solverx", "mean_gap") not in fits
 
