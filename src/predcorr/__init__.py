@@ -35,7 +35,6 @@ from .solvers import (
 )
 from .problems import (
     MFOracle,
-    MFState,
     linreg_g2_bound,
     linreg_g2_from_values,
     linreg_static_constants,
@@ -43,7 +42,6 @@ from .problems import (
     make_mf,
     make_robust,
     make_toy,
-    mf_state,
     mf_warm_start,
     robust_constants,
     toy_constants,

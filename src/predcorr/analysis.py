@@ -133,19 +133,14 @@ def fit_order(points: Sequence[tuple[float, float]]) -> OrderFit:
 # Optimal-value drift and the linear-convergence envelope
 # ---------------------------------------------------------------------------
 
-def check_lipschitz_optimum(
-    problem: ProblemOracle,
-    grid: TimeGrid,
-    G2: float,
-    gauge=None,
-) -> float:
+def check_lipschitz_optimum(problem: ProblemOracle, grid: TimeGrid, G2: float) -> float:
     """Worst violation of the optimal-value drift bound over the grid.
 
-    Walks the grid, tracking the (gauge-adjusted) optimal value, and returns
-    ``max_k |delta (f* - gauge)| - G2 * h``; a nonpositive result means the
-    optimal value is empirically G2-Lipschitz in time.  Each optimum query
-    is hinted with the previous grid point's optimum, which matters only
-    for the toy's numeric optimum: a closed-form optimum ignores the hint.
+    Walks the grid, tracking the optimal value, and returns
+    ``max_k |delta f*| - G2 * h``; a nonpositive result means the optimal
+    value is empirically G2-Lipschitz in time.  Each optimum query is
+    hinted with the previous grid point's optimum, which matters only for
+    the toy's numeric optimum: a closed-form optimum ignores the hint.
     """
     require(problem, "optimum")
     worst = -math.inf
@@ -153,9 +148,7 @@ def check_lipschitz_optimum(
     x_hint = None
     for k in range(grid.steps):
         t = grid.t(k)
-        x_star, f_star = problem.optimum(t, x_hint)
-        x_hint = x_star
-        val = f_star - (gauge(t) if gauge is not None else 0.0)
+        x_hint, val = problem.optimum(t, x_hint)
         if prev_val is not None:
             worst = max(worst, abs(val - prev_val) - G2 * grid.h)
         prev_val = val
@@ -430,8 +423,9 @@ class PredictionGapReport:
     """One-step value increase at two sampling periods and their ratio.
 
     A ratio near 4 under period halving indicates a second-order increase;
-    near 2, first-order.  The ratio is NaN unless both maxima are positive:
-    a run whose predictions never raised f has no increase to compare.
+    near 2, first-order.  The ratio is NaN unless each maximum exceeds
+    ``bound_tol`` of the largest |f| its own run entered with: a run whose
+    predictions never raised f beyond rounding has no increase to compare.
     """
 
     increase_coarse: float
@@ -449,7 +443,11 @@ def check_prediction_gap(
     own oracle (a matrix-factorization problem is built per period)."""
     inc_c = max_prediction_increase(problem_coarse, trace_coarse)
     inc_f = max_prediction_increase(problem_fine, trace_fine)
-    ratio = inc_c / inc_f if inc_c > 0 and inc_f > 0 else math.nan
+    measurable = all(
+        inc > bound_tol(float(np.max(np.abs(tr.f_pred))))
+        for inc, tr in ((inc_c, trace_coarse), (inc_f, trace_fine))
+    )
+    ratio = inc_c / inc_f if measurable else math.nan
     return PredictionGapReport(inc_c, inc_f, ratio)
 
 

@@ -382,11 +382,13 @@ def check_post_convergence_cmd(config: ExperimentConfig, setup: Setup) -> list[C
     return outcomes
 
 
-_RATIO_DEFAULTS = {TVGD: (1.6, 2.4), FOA_MIN: (3.0, 5.0), CP: (3.0, 5.0)}
+# Expected prediction-gap ratio under period halving: first order for the
+# gradient-only solver, second order for the normalized-step predictors.
+_RATIO_WINDOWS = {TVGD: (1.6, 2.4), FOA_MIN: (3.0, 5.0), CP: (3.0, 5.0)}
 
 
 def check_prediction_gap_cmd(config: ExperimentConfig, setup: Setup) -> list[CheckOutcome]:
-    solvers = [s for s in config.solvers if s.algorithm in _RATIO_DEFAULTS]
+    solvers = [s for s in config.solvers if s.algorithm in _RATIO_WINDOWS]
     if not solvers:
         raise ConfigError("prediction_gap needs a tvgd, foa_min or cp solver section")
     problem_h = setup.problem
@@ -405,9 +407,7 @@ def check_prediction_gap_cmd(config: ExperimentConfig, setup: Setup) -> list[Che
             outcomes.append(_diverged("prediction_gap", solver.label, tr, h_run))
             continue
         rep = analysis.check_prediction_gap(problem_h, tr_c, problem_f, tr_f)
-        lo, hi = _RATIO_DEFAULTS[solver.algorithm]
-        lo = config.check_params.get("ratio_min", lo)
-        hi = config.check_params.get("ratio_max", hi)
+        lo, hi = _RATIO_WINDOWS[solver.algorithm]
         ok = lo <= rep.ratio <= hi
         outcomes.append(
             CheckOutcome(
@@ -427,18 +427,15 @@ def check_lipschitz_optimum_cmd(config: ExperimentConfig, setup: Setup) -> list[
     if constants.G2 is None:
         raise ConfigError("lipschitz_optimum needs constant G2 (set key G2=)")
     h, steps = setup.grid[0]
-    viol = analysis.check_lipschitz_optimum(
-        setup.problem, TimeGrid(h, steps), constants.G2, gauge=constants.gauge
-    )
+    viol = analysis.check_lipschitz_optimum(setup.problem, TimeGrid(h, steps), constants.G2)
     ok = viol <= analysis.bound_tol(constants.G2 * h)
     return [CheckOutcome("lipschitz_optimum", config.problem, ok, viol, f"G2={constants.G2:g}")]
 
 
 def check_ratio_bound_cmd(config: ExperimentConfig, setup: Optional[Setup]) -> list[CheckOutcome]:
-    trials = config.check_params.get("trials", 200)
-    worst = analysis.ratio_bound_selftest(trials=trials, seed=config.seed)
+    worst = analysis.ratio_bound_selftest(trials=config.trials, seed=config.seed)
     ok = worst <= analysis.ABS_TOL
-    return [CheckOutcome("ratio_bound", f"{trials} trials", ok, worst)]
+    return [CheckOutcome("ratio_bound", f"{config.trials} trials", ok, worst)]
 
 
 _CHECKS = {

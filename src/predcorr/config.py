@@ -13,7 +13,7 @@ from __future__ import annotations
 import configparser
 import dataclasses
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Optional
@@ -51,10 +51,10 @@ CHECK_NAMES = (
 
 _EXPERIMENT_KEYS = {
     "problem", "h", "steps", "x0", "seed", "out", "compute_gap", "timing",
-    "warm_beta", "checks", "trials", "ratio_min", "ratio_max",
-    "L1", "L2", "L3", "G2", "mu", "Z",
+    "warm_beta", "checks", "trials",
+    "L1", "L2", "L3", "G2", "mu",
     "mf_latent_dim", "mf_reg", "mf_reveal_per_step", "mf_initial_revealed",
-    "mf_min_user", "mf_min_item", "mf_reg_normalized",
+    "mf_min_user", "mf_min_item",
     "synth_users", "synth_items", "synth_ratings", "synth_latent_dim",
     "synth_noise_sd", "synth_seed",
 }
@@ -75,18 +75,18 @@ class ExperimentConfig:
     problem: str
     grid: list[tuple[float, object]]          # (h, steps) with steps int or "auto"
     solvers: list[SolverConfig]
-    x0_spec: str = "randn"
-    seed: int = 0
-    out: str = "out"
-    compute_gap: str = "auto"                 # auto | always | never
-    timing: str = "zero"                      # zero | live
-    warm_beta: float = 10.0
-    checks: list[str] = field(default_factory=list)
-    constants: ProblemConstants = field(default_factory=ProblemConstants)
-    check_params: dict = field(default_factory=dict)
-    mf_params: dict = field(default_factory=dict)
-    synth_params: dict = field(default_factory=dict)
-    source: str = ""
+    x0_spec: str
+    seed: int
+    out: str
+    compute_gap: str                          # auto | always | never
+    timing: str                               # zero | live
+    warm_beta: float
+    checks: list[str]
+    constants: ProblemConstants
+    trials: int                               # ratio_bound samples
+    mf_params: dict
+    synth_params: dict
+    source: str
 
     def gap_flag(self) -> Optional[bool]:
         return {"auto": None, "always": True, "never": False}[self.compute_gap]
@@ -192,7 +192,7 @@ def parse_config(path_or_text, is_text: bool = False, source: str = "") -> Exper
 
     overrides = {
         key: _number(key, exp[key], low=0)
-        for key in ("L1", "L2", "L3", "G2", "mu", "Z")
+        for key in ("L1", "L2", "L3", "G2", "mu")
         if key in exp
     }
     try:
@@ -200,13 +200,7 @@ def parse_config(path_or_text, is_text: bool = False, source: str = "") -> Exper
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
-    check_params = {}
-    if "trials" in exp:
-        check_params["trials"] = _number("trials", exp["trials"], int, low=1)
-    for key in ("ratio_min", "ratio_max"):
-        if key in exp:
-            check_params[key] = _number(key, exp[key])
-
+    trials = num("trials", "200", int, low=1)
     seed = check_seed("seed", num("seed", "0", int))
     mf_params = {
         "latent_dim": num("mf_latent_dim", "20", int, low=1),
@@ -215,7 +209,6 @@ def parse_config(path_or_text, is_text: bool = False, source: str = "") -> Exper
         "initial_revealed": num("mf_initial_revealed", "100000", int, low=1),
         "min_user": num("mf_min_user", "0", int, low=0),
         "min_item": num("mf_min_item", "0", int, low=0),
-        "reg_normalized": exp.get("mf_reg_normalized", "true").lower() in ("true", "1", "yes"),
     }
     synth_params = {
         "n_users": num("synth_users", "80", int, low=1),
@@ -267,7 +260,7 @@ def parse_config(path_or_text, is_text: bool = False, source: str = "") -> Exper
         warm_beta=num("warm_beta", "10.0", low=0, strict=True),
         checks=checks,
         constants=constants,
-        check_params=check_params,
+        trials=trials,
         mf_params=mf_params,
         synth_params=synth_params,
         source=source,
@@ -336,7 +329,6 @@ def _build_mf(config: ExperimentConfig, ds: RatingsDataset, h: float) -> Problem
         reveal_per_step=mf["reveal_per_step"],
         initial_revealed=min(mf["initial_revealed"], len(ds)),
         step_period=h,
-        normalize_reg=mf["reg_normalized"],
     )
 
 
@@ -423,6 +415,8 @@ def build_x0(config: ExperimentConfig, problem: ProblemOracle) -> np.ndarray:
             raise ConfigError(f"x0 = {spec}: {exc}") from None
         return x0
     values = [_number("x0", v) for v in spec.split(",") if v.strip()]
+    if not all(map(math.isfinite, values)):
+        raise ConfigError(f"x0 components must be finite numbers, got {spec!r}")
     if len(values) == 1 and problem.dim > 1:
         return np.full(problem.dim, values[0])
     if len(values) != problem.dim:

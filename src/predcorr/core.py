@@ -110,11 +110,9 @@ class ProblemConstants:
 
     L1     bound on the spatial Hessian norm
     L2     bound on the mixed time-space derivative norm
-    L3     bound on the second time derivative of f - gauge
-    G2     time-Lipschitz constant of f - gauge
+    L3     bound on the second time derivative of f
+    G2     time-Lipschitz constant of f
     mu     PL / strong-convexity constant
-    Z      bound on |d/dt (f - gauge)| / ||grad_x f||
-    gauge  purely time-dependent offset subtracted from f; defaults to zero
     """
 
     L1: Optional[float] = None
@@ -122,11 +120,9 @@ class ProblemConstants:
     L3: Optional[float] = None
     G2: Optional[float] = None
     mu: Optional[float] = None
-    Z: Optional[float] = None
-    gauge: Optional[Callable[[float], float]] = None
 
     def __post_init__(self):
-        for name in ("L1", "L2", "L3", "G2", "mu", "Z"):
+        for name in ("L1", "L2", "L3", "G2", "mu"):
             v = getattr(self, name)
             if v is not None and v < 0:
                 raise ValueError(f"{name} must be >= 0, got {v}")

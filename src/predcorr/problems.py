@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Array, MissingOracleError, ProblemConstants, ProblemOracle, rng_from_seed
+from .core import Array, ProblemConstants, ProblemOracle, rng_from_seed
 from .ratings import RatingsDataset
 
 TOY = "toy"
@@ -130,10 +130,9 @@ def toy_constants() -> ProblemConstants:
     """Curvature/drift constants of the 1-D benchmark.
 
     Second spatial derivative lies in [0.1 - 1, 0.1 + 1]; mixed and double
-    time derivatives scale it by 10 and 100.  The derivative ratio is
-    identically 10.
+    time derivatives scale it by 10 and 100.
     """
-    return ProblemConstants(L1=1.1, L2=11.0, L3=110.0, Z=10.0)
+    return ProblemConstants(L1=1.1, L2=11.0, L3=110.0)
 
 
 # ---------------------------------------------------------------------------
@@ -277,14 +276,12 @@ def linreg_static_constants() -> ProblemConstants:
     The Hessian is constant with eigenvalues {0.01, 100} (squared extreme
     diagonal entries).  The mixed derivative has constant norm
     ``0.1 * sqrt(2.5 * (100 + 0.01))`` because the ten phases are equally
-    spaced, and the derivative ratio is bounded by ``||b'|| / sigma_min =
-    sqrt(5) / 1 / ...`` evaluated below 2.5.
+    spaced.
     """
     return ProblemConstants(
         L1=100.0,
         mu=0.01,
         L2=0.1 * float(np.sqrt(2.5 * (100.0 + 0.01))),
-        Z=float(np.sqrt(5.0)),
     )
 
 
@@ -356,37 +353,10 @@ class MFOracle(ProblemOracle):
     n_ratings: int = 0
 
 
-@dataclass
-class MFState:
-    """Factor matrices unpacked from a solver iterate at a given time."""
-
-    P: Array                 # latent_dim x n_users
-    Q: Array                 # latent_dim x n_items
-    latent_dim: int
-    reg: float
-    revealed: int
-    reveal_per_step: int
-
-
 def _revealed(t, step_period, initial_revealed, reveal_per_step, total) -> int:
     """Length of the revealed prefix at time t: the reveal schedule."""
     k = max(int(round(t / step_period)), 0)
     return min(initial_revealed + k * reveal_per_step, total)
-
-
-def mf_state(problem: MFOracle, x: Array, t: float) -> MFState:
-    F, U, I = problem.latent_dim, problem.n_users, problem.n_items
-    return MFState(
-        P=x[: F * U].reshape(U, F).T.copy(),
-        Q=x[F * U:].reshape(I, F).T.copy(),
-        latent_dim=F,
-        reg=problem.reg,
-        revealed=_revealed(
-            t, problem.step_period, problem.initial_revealed, problem.reveal_per_step,
-            problem.n_ratings,
-        ),
-        reveal_per_step=problem.reveal_per_step,
-    )
 
 
 def _next_same_pair(users: Array, items: Array, n_items: int) -> Array:
@@ -412,7 +382,6 @@ def make_mf(
     reveal_per_step: int,
     initial_revealed: int,
     step_period: float = 0.01,
-    normalize_reg: bool = True,
 ) -> MFOracle:
     """Streaming matrix-factorization objective over a ratings dataset.
 
@@ -420,12 +389,10 @@ def make_mf(
     ``initial_revealed + k * reveal_per_step`` ratings, capped at the full
     dataset; when the same pair is revealed twice the later rating wins.
     The objective averages squared error plus ``reg * (||P_u||^2 +
-    ||Q_i||^2)`` over revealed pairs; ``normalize_reg=False`` keeps the
-    per-pair regularizer outside the averaging instead.  Only value and
-    spatial gradient are available: the time axis is a discrete reveal
-    schedule, so there is no time derivative, and the Hessian is not
-    offered at this scale.  Requesting it raises through the solver's
-    oracle check.
+    ||Q_i||^2)`` over revealed pairs.  Only value and spatial gradient are
+    available: the time axis is a discrete reveal schedule, so there is no
+    time derivative, and the Hessian is not offered at this scale.
+    Requesting it raises through the solver's oracle check.
     """
     if latent_dim < 1:
         raise ValueError("latent_dim must be >= 1")
@@ -465,7 +432,7 @@ def make_mf(
         Qt = x[F * U:].reshape(I, F)
         err = r - np.einsum("jf,jf->j", Pt[u], Qt[i])
         reg_term = cu @ np.einsum("uf,uf->u", Pt, Pt) + ci @ np.einsum("if,if->i", Qt, Qt)
-        reg_scale = reg / len(u) if normalize_reg else reg
+        reg_scale = reg / len(u)
         return float(err @ err) / len(u) + reg_scale * float(reg_term)
 
     def grad_x(x, t):
@@ -474,7 +441,7 @@ def make_mf(
         Qt = x[F * U:].reshape(I, F)
         Pu, Qi = Pt[u], Qt[i]
         w = (-2.0 / len(u)) * (r - np.einsum("jf,jf->j", Pu, Qi))
-        reg_scale = 2.0 * reg / len(u) if normalize_reg else 2.0 * reg
+        reg_scale = 2.0 * reg / len(u)
         dP = reg_scale * Pt * cu[:, None]
         dQ = reg_scale * Qt * ci[:, None]
         for f in range(F):
@@ -502,17 +469,16 @@ def mf_warm_start(
     problem: MFOracle,
     target_grad_norm: float,
     seed: int,
-    beta: float = 10.0,
+    beta: float,
     max_iters: int = 200_000,
 ) -> tuple[Array, int]:
     """Descend the initial (fully frozen) objective to a target gradient norm.
 
-    Plain gradient descent from seeded standard-normal factors on the
-    problem at t = 0; returns the first iterate whose gradient norm is at or
-    below the target, together with the number of iterations taken.
+    Plain gradient descent with step ``beta`` from seeded standard-normal
+    factors on the problem at t = 0; returns the first iterate whose
+    gradient norm is at or below the target, together with the number of
+    iterations taken.
     """
-    if problem.grad_x is None:
-        raise MissingOracleError("warm start needs grad_x")
     x = rng_from_seed(seed).standard_normal(problem.dim)
     # An overflow makes the gradient norm non-finite, which is the error
     # reported below, so numpy's warnings about it are silenced.

@@ -52,12 +52,12 @@ class SolverConfig:
 
     algorithm  one of {tvgd, ufopc, foa_min, cp}
     C          correction steps per time step (>= 0)
-    beta       correction step size (> 0)
+    beta       correction step size (finite, > 0)
     P          prediction inner steps, UFOPC only (>= 0)
-    alpha      prediction step size, UFOPC only (> 0)
+    alpha      prediction step size, UFOPC only (finite, > 0)
     gamma      UFOPC mixing weight on the current gradient, in [0, 1]
-    zeta       prediction radius coefficient (> 0); step length is zeta*h
-    delta      small-gradient guard (> 0): no prediction below this norm
+    zeta       prediction radius coefficient (finite, > 0); step length is zeta*h
+    delta      small-gradient guard (finite, > 0): no prediction below this norm
     g_choice   "plain" uses the current gradient; "extrapolated" uses
                2*grad(x, t) - grad(x, t - h)
     """
@@ -78,18 +78,18 @@ class SolverConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         if self.C < 0:
             raise ValueError("C must be >= 0")
-        if not self.beta > 0:
-            raise ValueError("beta must be > 0")
+        if not 0 < self.beta < math.inf:
+            raise ValueError("beta must be a finite number > 0")
         if self.P < 0:
             raise ValueError("P must be >= 0")
-        if not self.alpha > 0:
-            raise ValueError("alpha must be > 0")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError("alpha must be a finite number > 0")
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError("gamma must lie in [0, 1]")
-        if not self.zeta > 0:
-            raise ValueError("zeta must be > 0")
-        if not self.delta > 0:
-            raise ValueError("delta must be > 0")
+        if not 0 < self.zeta < math.inf:
+            raise ValueError("zeta must be a finite number > 0")
+        if not 0 < self.delta < math.inf:
+            raise ValueError("delta must be a finite number > 0")
         if self.g_choice not in G_CHOICES:
             raise ValueError(f"unknown g_choice {self.g_choice!r}; expected one of {G_CHOICES}")
 

@@ -168,21 +168,6 @@ class TestLipschitzOptimum:
         viol = check_lipschitz_optimum(p, TimeGrid(0.1, 50), G2=1.0)
         assert viol == pytest.approx(-0.1, rel=1e-12)
 
-    def test_gauge_removes_pure_time_dependence(self):
-        def value(x, t):
-            return 0.5 * float(x @ x) + t
-
-        p = ProblemOracle(
-            dim=2,
-            value=value,
-            grad_x=lambda x, t: x,
-            optimum=lambda t, x_hint=None: (np.zeros(2), t),
-            optimum_kind="closed_form",
-            name="timescaled",
-        )
-        viol = check_lipschitz_optimum(p, TimeGrid(0.5, 20), G2=0.0, gauge=lambda t: t)
-        assert viol <= bound_tol(0.0)
-
     def test_requires_optimum(self):
         p = ProblemOracle(dim=1, value=lambda x, t: 0.0, grad_x=lambda x, t: np.zeros(1))
         with pytest.raises(ValueError, match="optimum"):
@@ -295,6 +280,20 @@ class TestPredictionGap:
         assert rep.increase_fine == pytest.approx(-0.1)
         assert math.isnan(rep.ratio)
         rep = check_prediction_gap(quadratic2, lowering, quadratic2, lowering)
+        assert math.isnan(rep.ratio)
+        # maxima at rounding level have no ratio either (2.0 here), and the
+        # level scales with the largest |f| each run entered with
+        tiny_c = fake_trace([0.0, 7.88e-15, 7.88e-15], x=x)
+        tiny_f = fake_trace([0.0, 3.94e-15, 3.94e-15], x=x)
+        rep = check_prediction_gap(quadratic2, tiny_c, quadratic2, tiny_f)
+        assert rep.increase_coarse == pytest.approx(7.88e-15)
+        assert math.isnan(rep.ratio)
+        lifted = ProblemOracle(
+            dim=2, value=lambda x, t: quadratic2.value(x, t) + 1e3, grad_x=quadratic2.grad_x
+        )
+        level = fake_trace([1e3, 1e3 + 2e-7, 1e3 + 4e-7], x=x)
+        rep = check_prediction_gap(lifted, level, quadratic2, fine)
+        assert rep.increase_coarse == pytest.approx(4e-7, rel=1e-6)
         assert math.isnan(rep.ratio)
         # each run is evaluated on its own oracle: f = f_quadratic2 + 0.1
         shifted = ProblemOracle(

@@ -129,9 +129,11 @@ def write_ratings(tmp_path, name="ratings.csv"):
 
 class TestConfigParsing:
     def test_unknown_experiment_key_is_named(self, tmp_path):
-        path = write_config(tmp_path, TOY_RUN.replace("seed = 0", "sede = 0"))
-        with pytest.raises(ConfigError, match="sede"):
-            parse_config(path)
+        # a misspelling, and four keys that no longer exist
+        for key in ("sede", "ratio_min", "ratio_max", "Z", "mf_reg_normalized"):
+            path = write_config(tmp_path, TOY_RUN.replace("seed = 0", f"{key} = 0"))
+            with pytest.raises(ConfigError, match=f"unknown key '{key}'"):
+                parse_config(path)
 
     def test_unknown_solver_key_is_named(self, tmp_path):
         path = write_config(tmp_path, TOY_RUN + "momentum = 0.9\n")
@@ -188,6 +190,10 @@ class TestMalformedNumbers:
             ("C = 1", "C = one", "C"),
             ("beta = 1.0", "beta = fast", "beta"),
             ("x0 = 8.0", "x0 = abc", "x0"),
+            ("x0 = 8.0", "x0 = nan", "x0"),
+            ("beta = 1.0", "beta = inf", "beta"),
+            ("zeta = 10", "zeta = inf", "zeta"),
+            ("delta = 1e-10", "delta = inf", "delta"),
         ],
     )
     def test_exit_1_with_one_error_line(self, tmp_path, capsys, old, new, key):

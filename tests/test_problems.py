@@ -13,7 +13,6 @@ from predcorr import (
     make_mf,
     make_robust,
     make_toy,
-    mf_state,
     mf_warm_start,
     robust_constants,
     synth_ratings,
@@ -26,6 +25,7 @@ from predcorr.problems import (
     ROBUST_GM,
     ROBUST_WELSCH,
     _numeric_optimum,
+    _revealed,
     geman_mcclure,
     geman_mcclure_d1,
     welsch,
@@ -148,7 +148,7 @@ class TestToy:
 
     def test_constants(self):
         c = toy_constants()
-        assert (c.L1, c.L2, c.L3, c.Z) == (1.1, 11.0, 110.0, 10.0)
+        assert (c.L1, c.L2, c.L3) == (1.1, 11.0, 110.0)
 
 
 class TestLinreg:
@@ -328,18 +328,13 @@ class TestMatrixFactorization:
     def test_reveal_schedule(self):
         ds = synth_ratings(8, 7, 100, 2, 0.1, seed=3)
         p = make_mf(ds, latent_dim=2, reg=0.0, reveal_per_step=7, initial_revealed=30)
-        x = np.zeros(p.dim)
         for k in (0, 1, 5, 9, 30):
-            st_ = mf_state(p, x, k * p.step_period)
-            assert st_.revealed == min(30 + 7 * k, 100)
-        assert st_.reveal_per_step == 7
-
-    def test_state_unpacks_column_major_factors(self):
-        problem, x = interpolating_instance()
-        st_ = mf_state(problem, x, 0.0)
-        assert st_.P.shape == (2, 6) and st_.Q.shape == (2, 5)
-        # column u of P is the contiguous block of x for user u
-        assert np.array_equal(st_.P[:, 1], x[2:4])
+            revealed = _revealed(
+                k * p.step_period, p.step_period, p.initial_revealed, p.reveal_per_step,
+                p.n_ratings,
+            )
+            assert revealed == min(30 + 7 * k, 100)
+        assert p.reveal_per_step == 7
 
     def test_warm_start_reaches_target(self):
         # beta must respect this tiny instance's curvature (~|K| pairs only)
@@ -358,27 +353,6 @@ class TestMatrixFactorization:
             RuntimeError, match="step size"
         ):
             mf_warm_start(p, 1e-4, seed=0, beta=50.0)
-
-    def test_unnormalized_regularizer_variant(self):
-        # at an interpolating point only the regularizer contributes, so the
-        # two conventions differ by exactly the live revealed count
-        rng = np.random.default_rng(7)
-        U, I, n = 6, 5, 40
-        P = rng.normal(size=(U, 2))
-        Q = rng.normal(size=(I, 2))
-        u = rng.integers(0, U, size=n).astype(np.int64)
-        i = rng.integers(0, I, size=n).astype(np.int64)
-        vals = np.einsum("jf,jf->j", P[u], Q[i])
-        raw = RatingsDataset(u, i, vals, np.arange(n, dtype=np.int64), U, I)
-        x = np.concatenate([P.ravel(), Q.ravel()])
-        p_norm = make_mf(raw, 2, 0.25, reveal_per_step=5, initial_revealed=10)
-        p_unnorm = make_mf(
-            raw, 2, 0.25, reveal_per_step=5, initial_revealed=10, normalize_reg=False
-        )
-        n_live = len({(a, b) for a, b in zip(u[:10], i[:10])})
-        assert p_unnorm.value(x, 0.0) == pytest.approx(
-            p_norm.value(x, 0.0) * n_live, rel=1e-12
-        )
 
     def test_oracle_purity(self):
         ds = synth_ratings(8, 7, 150, 3, 0.4, seed=11)

@@ -63,6 +63,10 @@ class TestSolverConfig:
             dict(zeta=0.0),
             dict(delta=0.0),
             dict(g_choice="future"),
+            dict(beta=math.inf),
+            dict(alpha=math.inf),
+            dict(zeta=math.inf),
+            dict(delta=math.inf),
         ],
     )
     def test_rejects_bad_values(self, kwargs):
