@@ -34,7 +34,6 @@ from .solvers import (
     run,
 )
 from .problems import (
-    MFOracle,
     linreg_g2_bound,
     linreg_g2_from_values,
     linreg_static_constants,

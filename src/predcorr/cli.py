@@ -120,7 +120,7 @@ def _setup(config: ExperimentConfig, args) -> Setup:
     """Load the dataset once, build the first-period problem and x0."""
     dataset = load_dataset(config, args.ratings)
     problem = build_problem(config, dataset, h=config.grid[0][0])
-    return Setup(dataset, problem, resolve_steps(config, problem), build_x0(config, problem))
+    return Setup(dataset, problem, resolve_steps(config, dataset), build_x0(config, problem))
 
 
 @dataclass
@@ -312,9 +312,19 @@ def _diverged(check: str, target: str, trace: Trace, h: float) -> CheckOutcome:
     return CheckOutcome(check, target, False, math.nan, detail)
 
 
+def _require_beta_one_over_l1(check: str, solver: SolverConfig, L1: float) -> None:
+    """Refuse a solver whose correction step is not 1/L1: the bound the
+    check certifies is stated for that step, the one with the most descent."""
+    if abs(solver.beta * L1 - 1.0) > 1e-9:
+        raise ConfigError(
+            f"{check}: {solver.label} has beta = {solver.beta}, but the bound holds "
+            f"for beta = 1/L1 = {1.0 / L1}"
+        )
+
+
 def check_pl_envelope(config: ExperimentConfig, setup: Setup) -> list[CheckOutcome]:
-    solver = next((s for s in config.solvers if s.algorithm == TVGD), None)
-    if solver is None:
+    solvers = [s for s in config.solvers if s.algorithm == TVGD]
+    if not solvers:
         raise ConfigError("pl_envelope needs a [solver ...] section with algorithm = tvgd")
     constants = config.constants
     if not constants.mu or constants.L1 is None:
@@ -325,19 +335,21 @@ def check_pl_envelope(config: ExperimentConfig, setup: Setup) -> list[CheckOutco
             setup.problem if h == config.grid[0][0]
             else build_problem(config, setup.dataset, h=h)
         )
-        trace = _trace_for_check(config, problem, solver, h, steps, setup.x0, need_gap=True)
-        target = f"{solver.label}@h={h:g}"
-        if trace.diverged:
-            outcomes.append(_diverged("pl_envelope", target, trace, h))
-            continue
-        g2 = config.g2(trace.f_pred)
-        if g2 is None:
-            raise ConfigError("pl_envelope needs constants G2 (set key G2=)")
-        cst = analysis.ProblemConstants(L1=constants.L1, mu=constants.mu, G2=g2)
-        viol = analysis.check_tvgd_pl_envelope(trace, cst, TimeGrid(h, steps))
-        scale = abs(trace.gap[0]) + analysis.envelope_limit(cst, h)
-        ok = viol <= analysis.bound_tol(scale)
-        outcomes.append(CheckOutcome("pl_envelope", target, ok, viol, f"G2={g2:.3g}"))
+        for solver in solvers:
+            trace = _trace_for_check(config, problem, solver, h, steps, setup.x0, need_gap=True)
+            target = f"{solver.label}@h={h:g}"
+            if trace.diverged:
+                outcomes.append(_diverged("pl_envelope", target, trace, h))
+                continue
+            g2 = config.g2(trace.f_pred)
+            if g2 is None:
+                raise ConfigError("pl_envelope needs constants G2 (set key G2=)")
+            _require_beta_one_over_l1("pl_envelope", solver, constants.L1)
+            cst = analysis.ProblemConstants(L1=constants.L1, mu=constants.mu, G2=g2)
+            viol = analysis.check_tvgd_pl_envelope(trace, cst, TimeGrid(h, steps))
+            scale = abs(trace.gap[0]) + analysis.envelope_limit(cst, h)
+            ok = viol <= analysis.bound_tol(scale)
+            outcomes.append(CheckOutcome("pl_envelope", target, ok, viol, f"G2={g2:.3g}"))
     return outcomes
 
 
@@ -362,6 +374,7 @@ def check_post_convergence_cmd(config: ExperimentConfig, setup: Setup) -> list[C
                 f"post_convergence on {solver.label} needs constants {', '.join(missing)} "
                 f"(set keys {'=, '.join(missing)}=)"
             )
+        _require_beta_one_over_l1("post_convergence", solver, cst.L1)
         thr = analysis.stationarity_threshold(
             solver.algorithm, cst, h, zeta=solver.zeta, delta=solver.delta
         )

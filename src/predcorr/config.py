@@ -35,6 +35,7 @@ from .problems import (
     make_toy,
     mf_warm_start,
     robust_constants,
+    steps_to_reveal,
     toy_constants,
 )
 from .ratings import RatingsDataset, load_ratings, filter_min_counts, synth_ratings
@@ -216,8 +217,11 @@ def parse_config(path_or_text, is_text: bool = False, source: str = "") -> Exper
         "n_ratings": num("synth_ratings", "40000", int, low=1),
         "latent_dim": num("synth_latent_dim", "5", int, low=1),
         "noise_sd": num("synth_noise_sd", "0.3", low=0),
-        "seed": check_seed("synth_seed", num("synth_seed", str(seed), int)),
     }
+    if "synth_seed" in exp:   # else the dataset takes `seed` when it is built
+        synth_params["seed"] = check_seed(
+            "synth_seed", _number("synth_seed", exp["synth_seed"], int)
+        )
 
     solvers = []
     for section in parser.sections():
@@ -304,7 +308,7 @@ def _analytic(make, *args) -> Callable:
 
 
 def _synth_ratings(config: ExperimentConfig, ratings_path) -> RatingsDataset:
-    return synth_ratings(**config.synth_params)
+    return synth_ratings(**{"seed": config.seed, **config.synth_params})
 
 
 def _load_ratings_file(config: ExperimentConfig, ratings_path) -> RatingsDataset:
@@ -382,17 +386,17 @@ def build_problem(config: ExperimentConfig, ratings=None, h=None) -> ProblemOrac
     return PROBLEMS[config.problem].build(config, ratings, h)
 
 
-def resolve_steps(config: ExperimentConfig, problem: ProblemOracle) -> list[tuple[float, int]]:
-    """Materialize 'auto' step counts (reveal the whole ratings stream)."""
-    grid = []
-    for h, steps in config.grid:
-        if steps == "auto":
-            n_total = problem.n_ratings
-            per = problem.reveal_per_step
-            remaining = max(n_total - problem.initial_revealed, 0)
-            steps = max(-(-remaining // per), 1)
-        grid.append((h, int(steps)))
-    return grid
+def resolve_steps(
+    config: ExperimentConfig, dataset: Optional[RatingsDataset]
+) -> list[tuple[float, int]]:
+    """Materialize 'auto' step counts: the fewest steps whose last one has
+    revealed the whole ratings stream of ``dataset``."""
+    mf = config.mf_params
+    return [
+        (h, steps_to_reveal(len(dataset), mf["initial_revealed"], mf["reveal_per_step"])
+         if steps == "auto" else steps)
+        for h, steps in config.grid
+    ]
 
 
 def build_x0(config: ExperimentConfig, problem: ProblemOracle) -> np.ndarray:

@@ -81,10 +81,8 @@ class ProblemOracle:
     ``1e8 * (1 + ||x0||)``.  Oracles are pure functions of (x, t); instances
     are immutable and safe to share between concurrent runs.  An instance
     may memoize its pieces that do not depend on x for its most recent
-    keys: by time (a moving target, a time-varying diagonal; two times) or
-    by the length of the revealed prefix (the matrix-factorization live
-    set; one prefix).  That never changes a result, and returned arrays
-    stay the caller's to modify.
+    keys; that never changes a result, and returned arrays stay the
+    caller's to modify.
     """
 
     dim: int

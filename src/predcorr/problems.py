@@ -19,7 +19,6 @@ backward differences are well defined from the very first step.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -334,29 +333,17 @@ def robust_constants() -> ProblemConstants:
 # Streaming matrix factorization
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class MFOracle(ProblemOracle):
-    """Matrix-factorization oracle with its layout metadata attached.
-
-    The decision vector concatenates the user-factor matrix (latent_dim x
-    n_users) and the item-factor matrix (latent_dim x n_items), both
-    column-major, so ``x[u*F:(u+1)*F]`` is user u's factor column.
-    """
-
-    n_users: int = 0
-    n_items: int = 0
-    latent_dim: int = 0
-    reg: float = 0.0
-    reveal_per_step: int = 0
-    initial_revealed: int = 0
-    step_period: float = 0.01
-    n_ratings: int = 0
-
-
 def _revealed(t, step_period, initial_revealed, reveal_per_step, total) -> int:
     """Length of the revealed prefix at time t: the reveal schedule."""
     k = max(int(round(t / step_period)), 0)
     return min(initial_revealed + k * reveal_per_step, total)
+
+
+def steps_to_reveal(total, initial_revealed, reveal_per_step) -> int:
+    """Fewest steps whose last one, step ``steps - 1``, has revealed all
+    ``total`` ratings: the inverse of ``_revealed``."""
+    remaining = max(total - initial_revealed, 0)
+    return -(-remaining // reveal_per_step) + 1
 
 
 def _next_same_pair(users: Array, items: Array, n_items: int) -> Array:
@@ -382,17 +369,23 @@ def make_mf(
     reveal_per_step: int,
     initial_revealed: int,
     step_period: float = 0.01,
-) -> MFOracle:
+) -> ProblemOracle:
     """Streaming matrix-factorization objective over a ratings dataset.
 
     At step k (time ``k * step_period``) the revealed set holds the first
     ``initial_revealed + k * reveal_per_step`` ratings, capped at the full
-    dataset; when the same pair is revealed twice the later rating wins.
+    dataset (``_revealed``; ``steps_to_reveal`` is its inverse); when the
+    same pair is revealed twice the later rating wins.  The live set of the
+    most recent prefix length is memoized.
     The objective averages squared error plus ``reg * (||P_u||^2 +
     ||Q_i||^2)`` over revealed pairs.  Only value and spatial gradient are
     available: the time axis is a discrete reveal schedule, so there is no
     time derivative, and the Hessian is not offered at this scale.
     Requesting it raises through the solver's oracle check.
+
+    The decision vector concatenates the user-factor matrix (latent_dim x
+    n_users) and the item-factor matrix (latent_dim x n_items), both
+    column-major, so ``x[u*F:(u+1)*F]`` is user u's factor column.
     """
     if latent_dim < 1:
         raise ValueError("latent_dim must be >= 1")
@@ -449,24 +442,11 @@ def make_mf(
             dQ[:, f] += np.bincount(i, weights=w * Pu[:, f], minlength=I)
         return np.concatenate([dP.ravel(), dQ.ravel()])
 
-    return MFOracle(
-        dim=dim,
-        value=value,
-        grad_x=grad_x,
-        name="mf",
-        n_users=U,
-        n_items=I,
-        latent_dim=F,
-        reg=reg,
-        reveal_per_step=reveal_per_step,
-        initial_revealed=initial_revealed,
-        step_period=step_period,
-        n_ratings=total,
-    )
+    return ProblemOracle(dim=dim, value=value, grad_x=grad_x, name="mf")
 
 
 def mf_warm_start(
-    problem: MFOracle,
+    problem: ProblemOracle,
     target_grad_norm: float,
     seed: int,
     beta: float,

@@ -396,6 +396,17 @@ class TestRunCommand:
         main(["run", "--config", cfg, "--out", str(out_b), "--seed", "2"])
         assert (out_a / "foa_min.csv").read_text() != (out_b / "foa_min.csv").read_text()
 
+    def test_seed_override_reaches_synthetic_dataset(self, tmp_path):
+        # without synth_seed the dataset takes the experiment seed, also
+        # when --seed sets it
+        text = MF_SYNTH_RUN.replace("synth_seed = 4\n", "")
+        cfg_0 = write_config(tmp_path, text, name="seed0.ini")
+        cfg_5 = write_config(tmp_path, text.replace("seed = 0", "seed = 5"), name="seed5.ini")
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(["run", "--config", cfg_0, "--out", str(out_a), "--seed", "5"]) == EXIT_OK
+        assert main(["run", "--config", cfg_5, "--out", str(out_b)]) == EXIT_OK
+        assert (out_a / "tvgd.csv").read_bytes() == (out_b / "tvgd.csv").read_bytes()
+
     def test_live_timing_populates_timing_columns(self, tmp_path):
         cfg = write_config(tmp_path, TOY_RUN.replace("seed = 0", "seed = 0\ntiming = live"))
         out = tmp_path / "out"
@@ -509,6 +520,21 @@ C = 1
 beta = 0.01
 """
 
+CHECK_POST_CONVERGENCE = """
+[experiment]
+problem = toy
+h = 0.05
+steps = 200
+x0 = 2.5
+G2 = 12
+checks = post_convergence
+
+[solver tvgd]
+algorithm = tvgd
+C = 1
+beta = 0.01
+"""
+
 CHECK_PREDICTION_GAP = """
 [experiment]
 problem = toy
@@ -549,8 +575,13 @@ class TestCheckCommand:
         assert ",pass," in text
 
     def test_pl_envelope_check_passes_on_static_least_squares(self, tmp_path):
-        cfg = write_config(tmp_path, CHECK_ENVELOPE)
-        assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_OK
+        # every tvgd solver is checked
+        text = CHECK_ENVELOPE + "\n[solver tvgd_c2]\nalgorithm = tvgd\nC = 2\nbeta = 0.01\n"
+        cfg = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["check", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rows = (out / "checks.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == ["tvgd@h=0.1", "tvgd_c2@h=0.1"]
 
     def test_pl_envelope_fails_with_fabricated_zero_drift(self, tmp_path):
         # forcing G2 = 0 claims a pure-decay envelope; once the decay term
@@ -579,14 +610,31 @@ checks = post_convergence
 [solver foa_min]
 algorithm = foa_min
 C = 1
-beta = 1.0
+beta = 0.9090909090909091
 zeta = 10
 delta = 1e-10
 """
         cfg = write_config(tmp_path, text)
         out = tmp_path / "o"
         assert main(["check", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        assert "0 violations" in (out / "checks.csv").read_text()
+        assert "0 violations / 299 checked" in (out / "checks.csv").read_text()
+
+    @pytest.mark.parametrize("check, text, beta, step", [
+        ("post_convergence", CHECK_POST_CONVERGENCE, "0.01", "0.9090909090909091"),
+        ("pl_envelope", CHECK_ENVELOPE.replace("beta = 0.01", "beta = 0.02"), "0.02", "0.01"),
+    ], ids=["post_convergence", "pl_envelope"])
+    def test_step_other_than_one_over_l1_is_refused(
+        self, tmp_path, capsys, check, text, beta, step
+    ):
+        # both bounds hold for the step 1/L1 only; at beta = 0.01 the toy's
+        # post-convergence check read 161 violations out of 199
+        cfg = write_config(tmp_path, text)
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == [
+            f"error: {check}: tvgd has beta = {beta}, but the bound holds for "
+            f"beta = 1/L1 = {step}"
+        ]
 
     def test_lipschitz_check_on_constant_optimal_value(self, tmp_path):
         # the toy's numeric optimum reaches its constant f* to rounding; the

@@ -28,6 +28,7 @@ from predcorr.problems import (
     _revealed,
     geman_mcclure,
     geman_mcclure_d1,
+    steps_to_reveal,
     welsch,
     welsch_d1,
 )
@@ -322,19 +323,26 @@ class TestMatrixFactorization:
         x = np.array([1.0, 1.0])  # prediction is exactly 1.0
         # only the first rating revealed: residual 0
         assert p.value(x, 0.0) == 0.0
-        # both revealed: later rating overwrites, single pair with residual 4
-        assert p.value(x, p.step_period) == pytest.approx(16.0)
+        # both revealed at step 1 (default period 0.01): later rating
+        # overwrites, single pair with residual 4
+        assert p.value(x, 0.01) == pytest.approx(16.0)
 
     def test_reveal_schedule(self):
-        ds = synth_ratings(8, 7, 100, 2, 0.1, seed=3)
-        p = make_mf(ds, latent_dim=2, reg=0.0, reveal_per_step=7, initial_revealed=30)
         for k in (0, 1, 5, 9, 30):
-            revealed = _revealed(
-                k * p.step_period, p.step_period, p.initial_revealed, p.reveal_per_step,
-                p.n_ratings,
-            )
-            assert revealed == min(30 + 7 * k, 100)
-        assert p.reveal_per_step == 7
+            assert _revealed(k * 0.01, 0.01, 30, 7, 100) == min(30 + 7 * k, 100)
+        # the inverse: the last step of an auto run reveals the whole
+        # stream, and the step before it does not
+        for total, initial, per in (
+            (100, 30, 7), (100, 30, 10), (600, 300, 50), (100, 99, 7),
+            (100, 100, 7), (100, 150, 7), (1, 1, 1),
+        ):
+            steps = steps_to_reveal(total, initial, per)
+            last = _revealed((steps - 1) * 0.01, 0.01, initial, per, total)
+            assert last == total
+            if steps > 1:
+                assert _revealed((steps - 2) * 0.01, 0.01, initial, per, total) < total
+        assert steps_to_reveal(600, 300, 50) == 7
+        assert steps_to_reveal(100, 150, 7) == 1
 
     def test_warm_start_reaches_target(self):
         # beta must respect this tiny instance's curvature (~|K| pairs only)
