@@ -37,6 +37,10 @@ _PHASE = 2.0 * np.pi * _IDX / 10.0
 _COSP = np.cos(_PHASE)
 _SINP = np.sin(_PHASE)
 
+# Live ratings per chunk of the matrix-factorization residual: the chunk's
+# two factor-row gathers (2 x 4096 x F doubles) stay in cache.
+_CHUNK = 4096
+
 
 def _memo(compute, size=2, read_only=True):
     """Memoized ``key -> tuple of arrays`` for one problem instance.
@@ -419,11 +423,29 @@ def make_mf(
     def live(t: float):
         return live_at(_revealed(t, step_period, initial_revealed, reveal_per_step, total))
 
+    # No n x F array is formed.  The residual gathers factor rows one chunk
+    # at a time, and the gradient scatters from transposed factor copies,
+    # whose rows are contiguous, through one reused n-buffer.  Every row sum
+    # and every bincount adds in the same order as over whole gathers.
+    # mode="clip" lets take write into ``out`` without an intermediate copy;
+    # it clamps nothing, because RatingsDataset validates its id ranges.
+    def residual(Pt, Qt, u, i, r):
+        """``r_j - <P_u, Q_i>`` for every live rating j."""
+        err = np.empty(len(r))
+        for s in range(0, len(r), _CHUNK):
+            e = s + _CHUNK
+            err[s:e] = r[s:e] - np.einsum(
+                "jf,jf->j",
+                Pt.take(u[s:e], axis=0, mode="clip"),
+                Qt.take(i[s:e], axis=0, mode="clip"),
+            )
+        return err
+
     def value(x, t):
         u, i, r, cu, ci = live(t)
         Pt = x[: F * U].reshape(U, F)
         Qt = x[F * U:].reshape(I, F)
-        err = r - np.einsum("jf,jf->j", Pt[u], Qt[i])
+        err = residual(Pt, Qt, u, i, r)
         reg_term = cu @ np.einsum("uf,uf->u", Pt, Pt) + ci @ np.einsum("if,if->i", Qt, Qt)
         reg_scale = reg / len(u)
         return float(err @ err) / len(u) + reg_scale * float(reg_term)
@@ -432,14 +454,17 @@ def make_mf(
         u, i, r, cu, ci = live(t)
         Pt = x[: F * U].reshape(U, F)
         Qt = x[F * U:].reshape(I, F)
-        Pu, Qi = Pt[u], Qt[i]
-        w = (-2.0 / len(u)) * (r - np.einsum("jf,jf->j", Pu, Qi))
+        w = (-2.0 / len(u)) * residual(Pt, Qt, u, i, r)
         reg_scale = 2.0 * reg / len(u)
         dP = reg_scale * Pt * cu[:, None]
         dQ = reg_scale * Qt * ci[:, None]
+        PT, QT = Pt.T.copy(), Qt.T.copy()
+        buf = np.empty(len(u))
         for f in range(F):
-            dP[:, f] += np.bincount(u, weights=w * Qi[:, f], minlength=U)
-            dQ[:, f] += np.bincount(i, weights=w * Pu[:, f], minlength=I)
+            np.multiply(w, QT[f].take(i, out=buf, mode="clip"), out=buf)
+            dP[:, f] += np.bincount(u, weights=buf, minlength=U)
+            np.multiply(w, PT[f].take(u, out=buf, mode="clip"), out=buf)
+            dQ[:, f] += np.bincount(i, weights=buf, minlength=I)
         return np.concatenate([dP.ravel(), dQ.ravel()])
 
     return ProblemOracle(dim=dim, value=value, grad_x=grad_x, name="mf")

@@ -21,8 +21,9 @@ class RatingsDataset:
 
     Duplicate (user, item) pairs are retained: consumers that reveal the
     stream one prefix at a time treat a later rating of the same pair as
-    overwriting the earlier one.  The arrays are made read-only on
-    construction, so oracles built from one dataset share them.
+    overwriting the earlier one.  Construction rejects ids outside their
+    ranges and makes the arrays read-only, so oracles built from one dataset
+    share them.
     """
 
     users: Array       # int64 in [0, n_users)
@@ -40,6 +41,12 @@ class RatingsDataset:
             raise ValueError("dataset contains no ratings")
         if np.any(np.diff(self.timestamps) < 0):
             raise ValueError("ratings must be sorted by timestamp")
+        for kind, ids, count in (
+            ("user", self.users, self.n_users),
+            ("item", self.items, self.n_items),
+        ):
+            if ids.min() < 0 or ids.max() >= count:
+                raise ValueError(f"{kind} ids must lie in [0, n_{kind}s)")
         for array in (self.users, self.items, self.values, self.timestamps):
             array.flags.writeable = False
 

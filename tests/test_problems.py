@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from predcorr.problems import (
     LINREG_STATIC,
     ROBUST_GM,
     ROBUST_WELSCH,
+    _CHUNK,
     _numeric_optimum,
     _revealed,
     geman_mcclure,
@@ -282,6 +284,40 @@ def interpolating_instance(latent_dim=2, reg=0.0):
     return problem, x
 
 
+def distinct_pair_dataset(n_users, n_items, n, seed=0):
+    """n ratings of n distinct (user, item) pairs, so that a prefix of
+    length k leaves exactly k live ratings."""
+    rng = np.random.default_rng(seed)
+    pairs = rng.permutation(n_users * n_items)[:n]
+    return RatingsDataset(
+        (pairs // n_items).astype(np.int64), (pairs % n_items).astype(np.int64),
+        rng.normal(size=n), np.arange(n, dtype=np.int64), n_users, n_items,
+    )
+
+
+def gathered_value_and_grad(ds, n, latent_dim, reg, x):
+    """The mf objective and gradient on the first n ratings of a
+    distinct-pair dataset, through whole n x F factor-row gathers."""
+    u, i, r = ds.users[:n], ds.items[:n], ds.values[:n]
+    U, I, F = ds.n_users, ds.n_items, latent_dim
+    cu = np.bincount(u, minlength=U).astype(float)
+    ci = np.bincount(i, minlength=I).astype(float)
+    Pt = x[: F * U].reshape(U, F)
+    Qt = x[F * U:].reshape(I, F)
+    Pu, Qi = Pt[u], Qt[i]
+    err = r - np.einsum("jf,jf->j", Pu, Qi)
+    reg_term = cu @ np.einsum("uf,uf->u", Pt, Pt) + ci @ np.einsum("if,if->i", Qt, Qt)
+    value = float(err @ err) / n + (reg / n) * float(reg_term)
+    w = (-2.0 / n) * err
+    reg_scale = 2.0 * reg / n
+    dP = reg_scale * Pt * cu[:, None]
+    dQ = reg_scale * Qt * ci[:, None]
+    for f in range(F):
+        dP[:, f] += np.bincount(u, weights=w * Qi[:, f], minlength=U)
+        dQ[:, f] += np.bincount(i, weights=w * Pu[:, f], minlength=I)
+    return value, np.concatenate([dP.ravel(), dQ.ravel()])
+
+
 class TestMatrixFactorization:
     def test_interpolating_point_has_zero_value_and_gradient(self):
         problem, x = interpolating_instance(reg=0.0)
@@ -294,6 +330,43 @@ class TestMatrixFactorization:
         rep = finite_difference_check(p, samples=4, seed=4)
         assert rep.grad_x_max_rel < 1e-6
         assert set(rep.absent) == {"grad_t", "hess_xx"}
+
+    @pytest.mark.parametrize("initial", [1000, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 123])
+    def test_chunked_oracle_matches_whole_gathers_bit_for_bit(self, initial):
+        # live sets below one chunk, of exactly one, and of several with a
+        # ragged tail; later times add 37 ratings per step
+        ds = distinct_pair_dataset(150, 120, 3 * _CHUNK)
+        F, reg = 20, 0.01
+        p = make_mf(ds, F, reg, reveal_per_step=37, initial_revealed=initial)
+        x = np.random.default_rng(3).normal(size=p.dim)
+        for t in (0.0, 0.01, 0.05, 0.4):
+            n = _revealed(t, 0.01, initial, 37, len(ds))
+            value, grad = gathered_value_and_grad(ds, n, F, reg, x)
+            assert p.value(x, t) == value
+            assert np.array_equal(p.grad_x(x, t), grad)
+
+    def test_gradient_matches_finite_differences_across_chunks(self):
+        ds = distinct_pair_dataset(100, 90, 2 * _CHUNK + 123, seed=1)
+        p = make_mf(ds, latent_dim=2, reg=0.05, reveal_per_step=10, initial_revealed=len(ds))
+        rep = finite_difference_check(p, samples=2, seed=4)
+        assert rep.grad_x_max_rel < 1e-6
+
+    @pytest.mark.parametrize("oracle", ["grad_x", "value"])
+    def test_oracle_allocates_no_ratings_by_factors_array(self, oracle):
+        # one n x F gather of the live set would take 8 MB
+        n, F = 50_000, 20
+        ds = distinct_pair_dataset(400, 300, n)
+        p = make_mf(ds, F, 0.01, reveal_per_step=10, initial_revealed=n)
+        x = np.random.default_rng(0).normal(size=p.dim)
+        call = getattr(p, oracle)
+        call(x, 0.0)   # builds the memoized live set
+        tracemalloc.start()
+        try:
+            call(x, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * F * 8 / 2
 
     def test_doubling_reg_doubles_pure_regularization(self):
         p1, x = interpolating_instance(reg=0.3)

@@ -10,6 +10,30 @@ def write(tmp_path, text, name="ratings.csv"):
     return path
 
 
+class TestRatingsDataset:
+    @staticmethod
+    def build(users, items, n_users=3, n_items=2):
+        n = len(users)
+        return RatingsDataset(
+            np.array(users, dtype=np.int64), np.array(items, dtype=np.int64),
+            np.ones(n), np.arange(n, dtype=np.int64), n_users, n_items,
+        )
+
+    def test_ids_at_range_ends_are_accepted(self):
+        ds = self.build([0, 2], [1, 0])
+        assert len(ds) == 2
+
+    @pytest.mark.parametrize("users, items, kind", [
+        ([0, 3], [0, 1], "user"),    # an id equal to the count
+        ([-1, 2], [0, 1], "user"),
+        ([0, 2], [0, 2], "item"),
+        ([0, 2], [-1, 1], "item"),
+    ])
+    def test_ids_outside_their_range_are_rejected(self, users, items, kind):
+        with pytest.raises(ValueError, match=rf"{kind} ids must lie in \[0, n_{kind}s\)"):
+            self.build(users, items)
+
+
 class TestLoadRatings:
     def test_sorts_by_timestamp_and_remaps_ids(self, tmp_path):
         path = write(

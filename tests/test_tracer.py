@@ -2,8 +2,9 @@
 
 ``bench/tracing.py`` patches CLI names and wraps oracle fields by name, so
 a program change that renames one of them would silently zero a count of a
-``--trace 1`` run.  These tests run the tracer unchanged on a toy run and
-check and pin its exact counts.
+``--trace 1`` run.  These tests run the tracer unchanged, on a toy run and
+check and on a warm-started matrix-factorization run, and pin their exact
+counts.
 """
 
 import importlib.util
@@ -94,6 +95,56 @@ def test_exact_counts(metrics):
     assert metrics["cli.csv_rows"] == 4 * STEPS + 6 + 3
     assert metrics["problems.value_calls"] > 0 and metrics["problems.grad_x_calls"] > 0
     assert metrics["ratings.load_calls"] == metrics["config.warm_start_grads"] == 0
+
+
+MF_STEPS = 6
+MF_C = 2
+
+MF_WARM = f"""
+[experiment]
+problem = mf_synth
+h = 0.01
+steps = {MF_STEPS}
+x0 = warm:0.05
+warm_beta = 5
+seed = 0
+compute_gap = never
+mf_latent_dim = 3
+mf_reg = 0.01
+mf_reveal_per_step = 20
+mf_initial_revealed = 200
+synth_users = 20
+synth_items = 15
+synth_ratings = 400
+synth_latent_dim = 2
+synth_noise_sd = 0.3
+synth_seed = 4
+
+[solver tvgd]
+algorithm = tvgd
+C = {MF_C}
+beta = 5
+"""
+
+
+@pytest.fixture(scope="module")
+def mf_metrics(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("traced_mf")
+    cfg = tmp / "mf.ini"
+    cfg.write_text(MF_WARM)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert main(["run", "--config", str(cfg), "--out", str(tmp / "run")]) == EXIT_OK
+    return tracer.metrics()
+
+
+def test_mf_oracle_is_traced(mf_metrics):
+    # the warm start's gradients at t = 0, then C per solver step
+    assert mf_metrics["config.warm_start_grads"] == 10
+    assert mf_metrics["problems.grad_x_calls"] == 10 + MF_C * MF_STEPS
+    assert mf_metrics["solvers.steps"] == MF_STEPS
+    assert mf_metrics["problems.mf.grad_x_ms_p50"] > 0
+    assert mf_metrics["problems.mf.value_ms_p50"] > 0
 
 
 def test_every_exact_metric_is_reported(metrics):
