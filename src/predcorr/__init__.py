@@ -9,12 +9,8 @@ from .core import (
     MissingOracleError,
     ProblemConstants,
     ProblemOracle,
-    RatioEstimate,
     TimeGrid,
-    ball_sampler,
-    estimate_Z,
     finite_difference_check,
-    gaussian_sampler,
     rng_from_seed,
 )
 from .solvers import (
@@ -62,7 +58,6 @@ from .analysis import (
     fit_order,
     g2_bar,
     max_prediction_increase,
-    pl_stationarity_threshold,
     ratio_bound_selftest,
     stationarity_threshold,
     summarize_sweep,

@@ -139,8 +139,8 @@ def check_lipschitz_optimum(problem: ProblemOracle, grid: TimeGrid, G2: float) -
     Walks the grid, tracking the optimal value, and returns
     ``max_k |delta f*| - G2 * h``; a nonpositive result means the optimal
     value is empirically G2-Lipschitz in time.  Each optimum query is
-    hinted with the previous grid point's optimum, which matters only for
-    the toy's numeric optimum: a closed-form optimum ignores the hint.
+    hinted with the previous grid point's optimum; only the toy reads the
+    hint, to choose the ripple basin whose minimum it reports.
     """
     require(problem, "optimum")
     worst = -math.inf
@@ -193,33 +193,6 @@ def envelope_limit(constants: ProblemConstants, h: float) -> float:
 # ---------------------------------------------------------------------------
 # Stationarity thresholds and post-convergence certification
 # ---------------------------------------------------------------------------
-
-def pl_stationarity_threshold(
-    L1: float, mu: float, L2: float, h: float, f0_gap: Optional[float] = None
-) -> tuple[float, Optional[float]]:
-    """Stationarity level reachable under gradient-drift assumptions.
-
-    Valid only when ``2 mu > L1``: returns
-
-        r = (1 + sqrt(2 (L1/mu - 1))) / (2 - L1/mu) * L2 * h
-
-    and, when the initial gap is supplied, the iteration budget
-    ``2 (2 mu - L1) * f0_gap / (L2 h)^2`` needed to reach it.
-    """
-    if L1 <= 0:
-        raise ValueError("L1 must be positive")
-    if not 2.0 * mu > L1:
-        raise ValueError(f"threshold formula requires 2*mu > L1 (mu={mu}, L1={L1})")
-    kappa = L1 / mu
-    r = (1.0 + math.sqrt(2.0 * (kappa - 1.0))) / (2.0 - kappa) * L2 * h
-    budget = None
-    if f0_gap is not None:
-        if L2 == 0:
-            budget = 0.0 if f0_gap <= 0 else math.inf
-        else:
-            budget = 2.0 * (2.0 * mu - L1) * f0_gap / (L2 * L2 * h * h)
-    return r, budget
-
 
 def g2_bar(constants: ProblemConstants, zeta: float, delta: float, h: float) -> float:
     """Per-step drift constant of the normalized-step predictors.

@@ -79,7 +79,7 @@ class ExperimentConfig:
     x0_spec: str
     seed: int
     out: str
-    compute_gap: str                          # auto | always | never
+    compute_gap: str                          # auto | never
     timing: str                               # zero | live
     warm_beta: float
     checks: list[str]
@@ -90,7 +90,7 @@ class ExperimentConfig:
     source: str
 
     def gap_flag(self) -> Optional[bool]:
-        return {"auto": None, "always": True, "never": False}[self.compute_gap]
+        return {"auto": None, "never": False}[self.compute_gap]
 
     def g2(self, f_values) -> Optional[float]:
         """The configured G2, else the problem's rule for the values a run
@@ -177,8 +177,8 @@ def parse_config(path_or_text, is_text: bool = False, source: str = "") -> Exper
         raise ConfigError("steps = auto is only meaningful for mf problems")
 
     compute_gap = exp.get("compute_gap", "auto")
-    if compute_gap not in ("auto", "always", "never"):
-        raise ConfigError(f"compute_gap must be auto/always/never, got {compute_gap!r}")
+    if compute_gap not in ("auto", "never"):
+        raise ConfigError(f"compute_gap must be auto or never, got {compute_gap!r}")
     timing = exp.get("timing", "zero")
     if timing not in ("zero", "live"):
         raise ConfigError(f"timing must be zero or live, got {timing!r}")

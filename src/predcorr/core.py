@@ -15,10 +15,6 @@ import numpy as np
 
 Array = np.ndarray
 
-# Gradient norms below this are treated as exactly stationary when forming
-# derivative ratios.
-STATIONARY_EPS = 1e-12
-
 
 def rng_from_seed(seed: int) -> np.random.Generator:
     """Return the package-wide seeded generator.
@@ -73,8 +69,8 @@ class ProblemOracle:
     grad_t(x, t)   -> float                time derivative (optional)
     hess_xx(x, t)  -> (d, d) array         symmetric Hessian (optional)
     optimum(t, x_hint=None) -> (x*, f*)    reference optimum (optional);
-        ``optimum_kind`` says whether it is "closed_form" or "numeric"
-        (an inner solver started from ``x_hint``).
+        a problem with several local minima may use the hint to choose
+        the one it reports.
 
     Iterates whose norm exceeds ``domain_guard`` are declared diverged by
     the solver loop; problems that leave it unset get the run-time default
@@ -91,15 +87,12 @@ class ProblemOracle:
     grad_t: Optional[Callable[[Array, float], float]] = None
     hess_xx: Optional[Callable[[Array, float], Array]] = None
     optimum: Optional[Callable[..., tuple[Array, float]]] = None
-    optimum_kind: Optional[str] = None
     domain_guard: Optional[float] = None
     name: str = ""
 
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
-        if self.optimum is not None and self.optimum_kind not in ("closed_form", "numeric"):
-            raise ValueError("optimum oracle requires optimum_kind 'closed_form' or 'numeric'")
 
 
 @dataclass(frozen=True)
@@ -245,73 +238,3 @@ def finite_difference_check(
         report.hess_xx_max_rel = h_max
         report.hess_asym_max = asym
     return report
-
-
-# ---------------------------------------------------------------------------
-# Derivative-ratio estimation
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RatioEstimate:
-    """Supremum estimate of |d/dt f| / ||grad_x f|| over sampled points."""
-
-    value: float
-    used: int
-    skipped: int
-
-
-def gaussian_sampler(dim: int, x_scale: float = 1.0, t_max: float = 10.0):
-    """Sampler drawing ``x ~ x_scale*N(0,I)``, ``t ~ U[0, t_max]``."""
-
-    def sample(rng: np.random.Generator) -> tuple[Array, float]:
-        return x_scale * rng.standard_normal(dim), t_max * rng.random()
-
-    return sample
-
-
-def ball_sampler(dim: int, radius: float, t_max: float = 10.0):
-    """Sampler drawing ``x`` uniformly from the ball ``||x|| <= radius``."""
-
-    def sample(rng: np.random.Generator) -> tuple[Array, float]:
-        v = rng.standard_normal(dim)
-        v /= max(np.linalg.norm(v), STATIONARY_EPS)
-        r = radius * rng.random() ** (1.0 / dim)
-        return r * v, t_max * rng.random()
-
-    return sample
-
-
-def estimate_Z(
-    problem: ProblemOracle,
-    sampler: Callable[[np.random.Generator], tuple[Array, float]],
-    samples: int = 1000,
-    seed: int = 0,
-) -> RatioEstimate:
-    """Estimate the derivative-ratio bound sup |d/dt f| / ||grad_x f||.
-
-    The prediction radius coefficient of the normalized-step predictors
-    should be set at or above this value.  Points that are numerically
-    stationary (gradient norm below 1e-12) are skipped and counted; if every
-    sample is skipped the sampled region gives no information and a
-    ``ValueError`` is raised.  Adding samples can only increase the estimate.
-    """
-    require(problem, "grad_t")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    rng = rng_from_seed(seed)
-    best = 0.0
-    used = 0
-    skipped = 0
-    for _ in range(samples):
-        x, t = sampler(rng)
-        gn = float(np.linalg.norm(problem.grad_x(x, t)))
-        if gn < STATIONARY_EPS:
-            skipped += 1
-            continue
-        used += 1
-        best = max(best, abs(float(problem.grad_t(x, t))) / gn)
-    if used == 0:
-        raise ValueError(
-            f"all {samples} samples were stationary; cannot estimate the derivative ratio"
-        )
-    return RatioEstimate(value=best, used=used, skipped=skipped)

@@ -19,7 +19,6 @@ backward differences are well defined from the very first step.
 from __future__ import annotations
 
 import functools
-from typing import Optional
 
 import numpy as np
 
@@ -40,6 +39,16 @@ _SINP = np.sin(_PHASE)
 # Live ratings per chunk of the matrix-factorization residual: the chunk's
 # two factor-row gathers (2 x 4096 x F doubles) stay in cache.
 _CHUNK = 4096
+
+# The toy's profile g(u) = u^2/20 + sin(u) is stationary where
+# u/10 + cos(u) = 0, at seven points in |u| <= 10, correctly rounded here.
+# The three local maxima split the axis into four basins; basin j holds
+# the local minimizer _TOY_MINIMA[j] with value _TOY_MIN_VALUES[j].
+_TOY_MAXIMA = np.array([-5.267116434076329, 1.7463292822528529, 8.966016478798073])
+_TOY_MINIMA = (-7.06889123734267, -1.4275517787645942, 4.271095337633188, 9.678884018488255)
+_TOY_MIN_VALUES = (
+    1.7911367946075947, -0.8878628265737075, 0.00791287634158964, 4.4326595193404685
+)
 
 
 def _memo(compute, size=2, read_only=True):
@@ -63,29 +72,6 @@ def _memo(compute, size=2, read_only=True):
     return memo
 
 
-def _numeric_optimum(value, grad_x, dim, lipschitz, tol=1e-10, max_iters=100_000):
-    """Inner solver realizing the toy's reference optimum.
-
-    Time-invariant gradient descent with step 1/lipschitz from the caller's
-    hint (the current iterate, typically) until the gradient norm crosses
-    ``tol``, or for at most ``max_iters`` steps.  Finds the stationary point
-    of the ripple basin the hint sits in, which is the meaningful reference
-    for tracking plots on the toy.
-    """
-
-    def optimum(t: float, x_hint: Optional[Array] = None):
-        x = np.zeros(dim) if x_hint is None else np.array(x_hint, dtype=float)
-        step = 1.0 / lipschitz
-        for _ in range(max_iters):
-            g = grad_x(x, t)
-            if np.linalg.norm(g) < tol:
-                break
-            x = x - step * g
-        return x, value(x, t)
-
-    return optimum
-
-
 # ---------------------------------------------------------------------------
 # 1-D drifting non-convex objective
 # ---------------------------------------------------------------------------
@@ -98,6 +84,11 @@ def make_toy() -> ProblemOracle:
     speed and the time derivative is always -10 times the spatial one.
     Curvature alternates sign along the axis; the classic starting point 8
     sits in a concave stretch.
+
+    The reference optimum is the local minimizer of the ripple basin that
+    holds the hint (x = 0 without one), the point that gradient descent
+    with step 1/1.1 reaches from it: such descent never crosses a
+    stationary point in one dimension.  Its value is a constant per basin.
     """
 
     def value(x, t):
@@ -116,14 +107,18 @@ def make_toy() -> ProblemOracle:
         u = x[0] - 10.0 * t
         return np.array([[0.1 - np.sin(u)]])
 
+    def optimum(t, x_hint=None):
+        u = (0.0 if x_hint is None else x_hint[0]) - 10.0 * t
+        j = int(np.searchsorted(_TOY_MAXIMA, u))
+        return np.array([_TOY_MINIMA[j] + 10.0 * t]), _TOY_MIN_VALUES[j]
+
     return ProblemOracle(
         dim=1,
         value=value,
         grad_x=grad_x,
         grad_t=grad_t,
         hess_xx=hess_xx,
-        optimum=_numeric_optimum(value, grad_x, 1, lipschitz=1.1),
-        optimum_kind="numeric",
+        optimum=optimum,
         domain_guard=1e8,
         name=TOY,
     )
@@ -252,7 +247,6 @@ def _diag_regression(
         grad_t=grad_t,
         hess_xx=hess_xx,
         optimum=optimum,
-        optimum_kind="closed_form",
         domain_guard=None if squared else 1e4,
         name=name,
     )

@@ -264,8 +264,9 @@ def run(
     """Execute the incur-correct-predict loop over the whole time grid.
 
     compute_gap:
-        None   record gaps when a closed-form optimum oracle exists
-        True   record gaps, running the numeric optimum oracle if needed
+        None   record gaps when the problem has an optimum oracle
+        True   record gaps; a missing optimum oracle raises
+               :class:`MissingOracleError`
         False  never record gaps
     store_iterates:
         keep per-step entering/corrected iterates in the trace (disable for
@@ -285,7 +286,7 @@ def run(
         raise ValueError(f"x0 has shape {x0.shape}, expected ({problem.dim},)")
 
     if compute_gap is None:
-        want_gap = problem.optimum is not None and problem.optimum_kind == "closed_form"
+        want_gap = problem.optimum is not None
     elif compute_gap:
         require(problem, "optimum")
         want_gap = True

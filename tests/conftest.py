@@ -26,7 +26,6 @@ def diag_quadratic(diag, target=None):
         grad_t=lambda x, t: 0.0,
         hess_xx=lambda x, t: np.diag(d),
         optimum=optimum,
-        optimum_kind="closed_form",
         name="diag_quadratic",
     )
 

@@ -20,7 +20,6 @@ from predcorr import (
     make_linreg,
     make_toy,
     max_prediction_increase,
-    pl_stationarity_threshold,
     ratio_bound_selftest,
     run,
     stationarity_threshold,
@@ -112,29 +111,6 @@ class TestFitOrder:
 
 
 class TestThresholds:
-    def test_pl_threshold_at_equal_constants(self):
-        # condition number one: the radical vanishes and the factor is L2 h
-        r, _ = pl_stationarity_threshold(L1=2.0, mu=2.0, L2=3.0, h=0.5)
-        assert r == pytest.approx(1.5, rel=1e-15)
-
-    def test_pl_threshold_zero_drift(self):
-        r, _ = pl_stationarity_threshold(L1=2.0, mu=1.5, L2=0.0, h=0.1)
-        assert r == 0.0
-
-    def test_pl_threshold_linear_in_h(self):
-        r1, _ = pl_stationarity_threshold(L1=2.0, mu=1.5, L2=3.0, h=0.1)
-        r2, _ = pl_stationarity_threshold(L1=2.0, mu=1.5, L2=3.0, h=0.2)
-        assert r2 == pytest.approx(2.0 * r1, rel=1e-15)
-
-    def test_pl_threshold_requires_sharp_curvature(self):
-        with pytest.raises(ValueError, match="2\\*mu > L1"):
-            pl_stationarity_threshold(L1=2.0, mu=1.0, L2=3.0, h=0.1)
-
-    def test_iteration_budget(self):
-        _, budget = pl_stationarity_threshold(L1=2.0, mu=2.0, L2=3.0, h=0.5, f0_gap=9.0)
-        # 2 (2 mu - L1) gap / (L2 h)^2 = 2 * 2 * 9 / 2.25
-        assert budget == pytest.approx(16.0, rel=1e-15)
-
     def test_g2_bar_formula(self):
         c = ProblemConstants(L1=2.0, L2=3.0, L3=4.0)
         assert g2_bar(c, zeta=5.0, delta=0.01, h=0.1) == pytest.approx(42.5, rel=1e-15)

@@ -194,6 +194,8 @@ class TestMalformedNumbers:
             ("beta = 1.0", "beta = inf", "beta"),
             ("zeta = 10", "zeta = inf", "zeta"),
             ("delta = 1e-10", "delta = inf", "delta"),
+            ("seed = 0", "seed = 0\ncompute_gap = always",
+             "compute_gap must be auto or never, got 'always'"),
         ],
     )
     def test_exit_1_with_one_error_line(self, tmp_path, capsys, old, new, key):
@@ -637,9 +639,9 @@ delta = 1e-10
         ]
 
     def test_lipschitz_check_on_constant_optimal_value(self, tmp_path):
-        # the toy's numeric optimum reaches its constant f* to rounding; the
-        # robust optimum is the closed form with f* = 0 exactly
-        for problem, h, tol in (("toy", 0.1, 1e-12), ("robust_gm", 0.05, 0.0)):
+        # the toy's optimum stays in one ripple basin, whose f* is a
+        # tabulated constant; the robust optimum has f* = 0; both exactly
+        for problem, h in (("toy", 0.1), ("robust_gm", 0.05)):
             text = f"""
 [experiment]
 problem = {problem}
@@ -652,7 +654,7 @@ G2 = 1.0
             out = tmp_path / problem
             assert main(["check", "--config", cfg, "--out", str(out)]) == EXIT_OK
             value = float((out / "checks.csv").read_text().splitlines()[1].split(",")[3])
-            assert abs(value + h) <= tol   # -G2 * h with G2 = 1
+            assert value == -h   # -G2 * h with G2 = 1
 
     def test_lipschitz_needs_g2_constant(self, tmp_path):
         text = CHECK_FAST.replace("checks = ratio_bound", "checks = lipschitz_optimum")

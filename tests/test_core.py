@@ -5,13 +5,9 @@ import numpy as np
 import pytest
 
 from predcorr import (
-    MissingOracleError,
     ProblemConstants,
     TimeGrid,
-    ball_sampler,
-    estimate_Z,
     finite_difference_check,
-    gaussian_sampler,
     make_linreg,
     make_robust,
     make_toy,
@@ -95,44 +91,6 @@ class TestFiniteDifferenceCheck:
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
             finite_difference_check(make_toy(), samples=0)
-
-
-class TestEstimateZ:
-    def test_toy_ratio_is_ten_everywhere(self):
-        toy = make_toy()
-        est = estimate_Z(toy, gaussian_sampler(1, x_scale=5.0), samples=200, seed=1)
-        assert est.value == pytest.approx(10.0, rel=1e-12)
-        assert est.used == 200
-
-    def test_time_invariant_gives_zero(self):
-        est = estimate_Z(diag_quadratic([2.0, 3.0]), gaussian_sampler(2), samples=50, seed=0)
-        assert est.value == 0.0
-
-    def test_linreg_bounded_on_small_ball(self):
-        p = make_linreg("linreg_static")
-        est = estimate_Z(p, ball_sampler(10, radius=10.0, t_max=50.0), samples=500, seed=7)
-        assert 0.0 < est.value <= 2.5
-
-    def test_all_stationary_errors(self):
-        flat = diag_quadratic([1.0, 1.0])
-
-        def at_optimum(rng):
-            return np.zeros(2), rng.random()
-
-        with pytest.raises(ValueError, match="stationary"):
-            estimate_Z(flat, at_optimum, samples=10, seed=0)
-
-    def test_monotone_in_sample_count(self):
-        p = make_linreg("linreg_static")
-        sampler = gaussian_sampler(10, x_scale=3.0)
-        small = estimate_Z(p, sampler, samples=50, seed=11).value
-        large = estimate_Z(p, sampler, samples=200, seed=11).value
-        assert large >= small
-
-    def test_requires_grad_t(self):
-        bare = replace(diag_quadratic([1.0]), grad_t=None)
-        with pytest.raises(MissingOracleError):
-            estimate_Z(bare, gaussian_sampler(1), samples=5, seed=0)
 
 
 class TestRng:

@@ -26,7 +26,8 @@ from predcorr.problems import (
     ROBUST_GM,
     ROBUST_WELSCH,
     _CHUNK,
-    _numeric_optimum,
+    _TOY_MAXIMA,
+    _TOY_MINIMA,
     _revealed,
     geman_mcclure,
     geman_mcclure_d1,
@@ -54,10 +55,9 @@ MEMO_PROBLEMS = {
 
 
 def oracle_outputs(p, x, t):
-    """Every present oracle's result at (x, t); the optimum only when
-    closed form."""
+    """Every present oracle's result at (x, t), the optimum included."""
     out = [f(x, t) for f in (p.value, p.grad_x, p.grad_t, p.hess_xx) if f is not None]
-    if p.optimum_kind == "closed_form":
+    if p.optimum is not None:
         out += list(p.optimum(t, x))
     return out
 
@@ -90,11 +90,22 @@ class TestTimeFrameMemo:
             want = first.copy()
             first[...] = 1e9
             assert np.array_equal(oracle(x, t), want)
-        if p.optimum_kind == "closed_form":
+        if p.optimum is not None:
             xs, _ = p.optimum(t)
             want = xs.copy()
             xs[...] = 1e9
             assert np.array_equal(p.optimum(t)[0], want)
+
+
+def toy_descent(toy, x, t):
+    """Reference toy optimum: gradient descent with step 1/L1 from x, which
+    never crosses a stationary point in one dimension."""
+    for _ in range(100_000):
+        g = toy.grad_x(x, t)
+        if abs(g[0]) < 1e-10:
+            break
+        x = x - g / 1.1
+    return x, toy.value(x, t)
 
 
 class TestToy:
@@ -128,26 +139,40 @@ class TestToy:
         assert rep.grad_t_max_rel < 1e-6
         assert rep.hess_xx_max_rel < 1e-4
 
-    def test_numeric_optimum_tagged_and_stationary(self):
+    def test_basin_table_holds_every_stationary_point(self):
+        # the roots of g'(u) = u/10 + cos(u) lie in |u| <= 10, where g'
+        # changes sign exactly seven times; the table holds them to full
+        # precision, minima and maxima alternating
+        points = np.sort(np.concatenate([_TOY_MINIMA, _TOY_MAXIMA]))
+        assert np.max(np.abs(points / 10.0 + np.cos(points))) <= 1e-15
+        assert list(np.sign(0.1 - np.sin(points))) == [1, -1, 1, -1, 1, -1, 1]
+        u = np.linspace(-10.0, 10.0, 200_001)
+        assert np.count_nonzero(np.diff(np.sign(u / 10.0 + np.cos(u)))) == 7
+
+    def test_optimum_is_where_descent_from_the_hint_ends(self):
         toy = make_toy()
-        assert toy.optimum_kind == "numeric"
-        x_star, f_star = toy.optimum(0.0, np.array([8.0]))
-        assert abs(toy.grad_x(x_star, 0.0)[0]) < 1e-9
-        assert f_star == toy.value(x_star, 0.0)
+        rng = np.random.default_rng(17)
+        checked = 0
+        while checked < 200:
+            t, u = rng.uniform(-5.0, 50.0), rng.uniform(-15.0, 15.0)
+            if np.min(np.abs(u - _TOY_MAXIMA)) < 1e-3:
+                continue
+            hint = np.array([u + 10.0 * t])
+            x_star, f_star = toy.optimum(t, hint)
+            x_ref, f_ref = toy_descent(toy, hint, t)
+            assert abs(x_star[0] - x_ref[0]) <= 1e-9
+            assert abs(f_star - f_ref) <= 1e-15
+            checked += 1
 
-    def test_numeric_optimum_caps_iterations(self):
-        # a slope the descent can never flatten: it stops at the cap with a
-        # finite point
-        calls = [0]
-
-        def grad_x(x, t):
-            calls[0] += 1
-            return np.ones(2)
-
-        optimum = _numeric_optimum(lambda x, t: float(x.sum()), grad_x, 2, 1.0, max_iters=7)
-        x_star, f_star = optimum(0.0)
-        assert calls[0] == 7
-        assert np.array_equal(x_star, np.full(2, -7.0)) and f_star == -14.0
+    def test_optimum_without_hint_descends_from_zero(self):
+        # -10t falls in each of the four basins
+        toy = make_toy()
+        for t in (0.62, 7.5, 0.0, 0.3, -0.45, -0.93):
+            x_star, f_star = toy.optimum(t)
+            x_ref, f_ref = toy_descent(toy, np.zeros(1), t)
+            assert abs(x_star[0] - x_ref[0]) <= 1e-9
+            assert abs(f_star - f_ref) <= 1e-15
+            assert toy.optimum(t, np.zeros(1))[0].tobytes() == x_star.tobytes()
 
     def test_constants(self):
         c = toy_constants()
@@ -161,7 +186,6 @@ class TestLinreg:
             x_star, f_star = p.optimum(t)
             assert f_star == 0.0
             assert np.linalg.norm(p.grad_x(x_star, t)) < 1e-12
-        assert p.optimum_kind == "closed_form"
 
     def test_value_at_origin(self):
         # sum of squared sines over ten equally spaced phases is exactly 5
@@ -210,7 +234,6 @@ class TestClosedFormOptimum:
     @pytest.mark.parametrize("name", [LINREG_STATIC, LINREG_DRIFT, ROBUST_GM, ROBUST_WELSCH])
     def test_zero_residual_point_is_the_minimum(self, name):
         p = PROBLEMS[name].build(None, None, None)
-        assert p.optimum_kind == "closed_form"
         rng = np.random.default_rng(13)
         for t in np.concatenate([[0.0, -0.05, -50.0], rng.uniform(-50.0, 5000.0, 12)]):
             x_star, f_star = p.optimum(t)

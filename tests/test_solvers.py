@@ -365,7 +365,6 @@ class TestRun:
             grad_t=lambda x, t: toy.grad_t(x, t + delta),
             hess_xx=lambda x, t: toy.hess_xx(x, t + delta),
             optimum=None,
-            optimum_kind=None,
         )
         cfg = SolverConfig(algorithm=FOA_MIN, C=1, beta=1.0, zeta=10.0)
         grid = TimeGrid(0.25, 40)
@@ -387,14 +386,12 @@ class TestRun:
             tr = run(p, cfg, TimeGrid(0.1, 10), np.zeros(10))
             assert tr.gap is not None
             assert tr.gap.tobytes() == tr.f_pred.tobytes()  # optimal value is zero
-
-    def test_gap_skipped_for_numeric_by_default(self):
+        # the toy's optimum is the minimum of the iterate's ripple basin
         toy = make_toy()
         cfg = SolverConfig(algorithm=TVGD, C=1, beta=1.0)
         tr = run(toy, cfg, TimeGrid(0.1, 5), toy_x0())
-        assert tr.gap is None
-        tr2 = run(toy, cfg, TimeGrid(0.1, 5), toy_x0(), compute_gap=True)
-        assert tr2.gap is not None and np.all(tr2.gap >= -1e-9)
+        assert tr.gap is not None and np.all(tr.gap >= -1e-9)
+        assert run(toy, cfg, TimeGrid(0.1, 5), toy_x0(), compute_gap=False).gap is None
 
     def test_bad_x0_shape_rejected(self):
         with pytest.raises(ValueError, match="x0"):
@@ -415,7 +412,6 @@ def half_square(**pieces):
         grad_x=lambda x, t: x.copy(),
         hess_xx=lambda x, t: np.eye(1),
         optimum=lambda t, x_hint=None: (np.zeros(1), 0.0),
-        optimum_kind="closed_form",
         domain_guard=10.0,
         name="half_square",
     )
