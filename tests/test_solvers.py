@@ -386,12 +386,16 @@ class TestRun:
             tr = run(p, cfg, TimeGrid(0.1, 10), np.zeros(10))
             assert tr.gap is not None
             assert tr.gap.tobytes() == tr.f_pred.tobytes()  # optimal value is zero
-        # the toy's optimum is the minimum of the iterate's ripple basin
+
+    def test_gap_skipped_for_numeric_by_default(self):
+        """The toy's optimum, once a numeric solve, is a basin-table lookup,
+        so its gap is recorded by default; only compute_gap=False skips it."""
         toy = make_toy()
         cfg = SolverConfig(algorithm=TVGD, C=1, beta=1.0)
-        tr = run(toy, cfg, TimeGrid(0.1, 5), toy_x0())
-        assert tr.gap is not None and np.all(tr.gap >= -1e-9)
         assert run(toy, cfg, TimeGrid(0.1, 5), toy_x0(), compute_gap=False).gap is None
+        for flag in (None, True):
+            tr = run(toy, cfg, TimeGrid(0.1, 5), toy_x0(), compute_gap=flag)
+            assert tr.gap is not None and np.all(tr.gap >= -1e-9)
 
     def test_bad_x0_shape_rejected(self):
         with pytest.raises(ValueError, match="x0"):
