@@ -301,8 +301,7 @@ def check_gradients(config: ExperimentConfig, setup: Optional[Setup]) -> list[Ch
     return outcomes
 
 
-def _trace_for_check(config, problem, solver, h, steps, x0, need_gap, store=False) -> Trace:
-    gap = True if need_gap else config.gap_flag()
+def _trace_for_check(problem, solver, h, steps, x0, gap, store=False) -> Trace:
     return run(problem, solver, TimeGrid(h, steps), x0, compute_gap=gap, store_iterates=store)
 
 
@@ -336,7 +335,7 @@ def check_pl_envelope(config: ExperimentConfig, setup: Setup) -> list[CheckOutco
             else build_problem(config, setup.dataset, h=h)
         )
         for solver in solvers:
-            trace = _trace_for_check(config, problem, solver, h, steps, setup.x0, need_gap=True)
+            trace = _trace_for_check(problem, solver, h, steps, setup.x0, gap=True)
             target = f"{solver.label}@h={h:g}"
             if trace.diverged:
                 outcomes.append(_diverged("pl_envelope", target, trace, h))
@@ -360,9 +359,7 @@ def check_post_convergence_cmd(config: ExperimentConfig, setup: Setup) -> list[C
     h, steps = setup.grid[0]
     outcomes = []
     for solver in solvers:
-        trace = _trace_for_check(
-            config, setup.problem, solver, h, steps, setup.x0, need_gap=True
-        )
+        trace = _trace_for_check(setup.problem, solver, h, steps, setup.x0, gap=True)
         if trace.diverged:
             outcomes.append(_diverged("post_convergence", solver.label, trace, h))
             continue
@@ -409,11 +406,10 @@ def check_prediction_gap_cmd(config: ExperimentConfig, setup: Setup) -> list[Che
     problem_f = build_problem(config, setup.dataset, h=h / 2)
     outcomes = []
     for solver in solvers:
-        tr_c = _trace_for_check(
-            config, problem_h, solver, h, steps, setup.x0, need_gap=False, store=True
-        )
+        # the ratio reads predictions only, so no gap is recorded
+        tr_c = _trace_for_check(problem_h, solver, h, steps, setup.x0, gap=False, store=True)
         tr_f = _trace_for_check(
-            config, problem_f, solver, h / 2, steps, setup.x0, need_gap=False, store=True
+            problem_f, solver, h / 2, steps, setup.x0, gap=False, store=True
         )
         if tr_c.diverged or tr_f.diverged:
             tr, h_run = (tr_c, h) if tr_c.diverged else (tr_f, h / 2)

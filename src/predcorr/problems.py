@@ -344,22 +344,6 @@ def steps_to_reveal(total, initial_revealed, reveal_per_step) -> int:
     return -(-remaining // reveal_per_step) + 1
 
 
-def _next_same_pair(users: Array, items: Array, n_items: int) -> Array:
-    """For each rating, index of the next later rating of the same (u, i).
-
-    Ratings with no later duplicate get an index past the end.  Used to keep
-    only the latest revealed rating per pair: entry j is live under prefix
-    length n iff ``next_same[j] >= n``.
-    """
-    n = len(users)
-    key = users.astype(np.int64) * n_items + items
-    order = np.lexsort((np.arange(n), key))
-    nxt = np.full(n, n + 1, dtype=np.int64)
-    same = key[order[:-1]] == key[order[1:]]
-    nxt[order[:-1][same]] = order[1:][same]
-    return nxt
-
-
 def make_mf(
     ds: RatingsDataset,
     latent_dim: int,
@@ -395,10 +379,10 @@ def make_mf(
         raise ValueError(
             f"initial_revealed must lie in [1, {len(ds)}], got {initial_revealed}"
         )
-    users, items, vals = ds.users, ds.items, ds.values   # read-only, shared
+    # read-only and shared; the duplicate-pair index is computed once per dataset
+    users, items, vals, nxt = ds.users, ds.items, ds.values, ds.next_same
     U, I, F = ds.n_users, ds.n_items, latent_dim
     total = len(vals)
-    nxt = _next_same_pair(users, items, I)
     dim = F * (U + I)
 
     def live_set(n):

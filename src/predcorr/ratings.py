@@ -7,8 +7,10 @@ loading, ratings are in chronological order and ids are densely remapped.
 
 from __future__ import annotations
 
+import warnings
 from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -21,9 +23,9 @@ class RatingsDataset:
 
     Duplicate (user, item) pairs are retained: consumers that reveal the
     stream one prefix at a time treat a later rating of the same pair as
-    overwriting the earlier one.  Construction rejects ids outside their
-    ranges and makes the arrays read-only, so oracles built from one dataset
-    share them.
+    overwriting the earlier one (``next_same``).  Construction rejects ids
+    outside their ranges and makes the arrays read-only, so oracles built
+    from one dataset share them.
     """
 
     users: Array       # int64 in [0, n_users)
@@ -53,6 +55,24 @@ class RatingsDataset:
     def __len__(self) -> int:
         return len(self.values)
 
+    @cached_property
+    def next_same(self) -> Array:
+        """For each rating, index of the next later rating of the same (u, i).
+
+        Ratings with no later duplicate get an index past the end.  A prefix
+        of length n keeps only the latest rating per pair: entry j is live
+        under it iff ``next_same[j] >= n``.  Computed once per dataset and
+        read-only, like the other arrays.
+        """
+        n = len(self)
+        key = self.users.astype(np.int64) * self.n_items + self.items
+        order = np.lexsort((np.arange(n), key))
+        nxt = np.full(n, n + 1, dtype=np.int64)
+        same = key[order[:-1]] == key[order[1:]]
+        nxt[order[:-1][same]] = order[1:][same]
+        nxt.flags.writeable = False
+        return nxt
+
     def ratings(self) -> list[tuple[int, int, float, int]]:
         """Ratings as (user, item, value, timestamp) tuples, in order."""
         return list(
@@ -70,14 +90,35 @@ def _dense_remap(ids: Array) -> tuple[Array, int]:
     return inverse.astype(np.int64), len(uniq)
 
 
-def load_ratings(path) -> RatingsDataset:
-    """Load a ratings file, sort it chronologically, and densify the ids.
+# One file line as loadtxt reads it.
+_ROW = np.dtype(
+    [("user", np.int64), ("item", np.int64), ("value", np.float64), ("stamp", np.int64)]
+)
 
-    The sort is stable, so ratings sharing a timestamp keep their file
-    order.  Malformed lines, and ids or timestamps outside int64, raise with
-    the offending line number; a file with no ratings is an error.  Fields
-    go into typed 8-byte buffers, not lists of boxed numbers, which bounds
-    the parse's peak memory.
+
+def _parse_fast(path) -> tuple[Array, Array, Array, Array]:
+    """Parse the whole file in one C-level pass.
+
+    Raises ``ValueError`` on any line it cannot read, including lines that
+    ``_parse_lines`` skips (whitespace only, or indented comments).
+    """
+    with warnings.catch_warnings():
+        # An empty file is reported by load_ratings itself.
+        warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+        rows = np.loadtxt(
+            path, dtype=_ROW, delimiter=",", comments="#", ndmin=1, encoding="utf-8"
+        )
+    return rows["user"], rows["item"], rows["value"], rows["stamp"]
+
+
+def _parse_lines(path) -> tuple[Array, Array, Array, Array]:
+    """Parse the file line by line, naming the first malformed line.
+
+    This is the reference grammar: ``#`` starts a comment, lines that are
+    empty after it is removed are skipped, and each other line holds four
+    comma-separated fields that ``int``/``float`` accept.  Fields go into
+    typed 8-byte buffers, not lists of boxed numbers, which bounds the
+    parse's peak memory.
     """
     users, items, values, stamps = array("q"), array("q"), array("d"), array("q")
     with open(path, "r", encoding="utf-8") as fh:
@@ -97,18 +138,41 @@ def load_ratings(path) -> RatingsDataset:
                 stamps.append(int(parts[3]))
             except (ValueError, OverflowError) as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if not values:
+    return (
+        np.asarray(users, dtype=np.int64),
+        np.asarray(items, dtype=np.int64),
+        np.asarray(values, dtype=float),
+        np.asarray(stamps, dtype=np.int64),
+    )
+
+
+def load_ratings(path) -> RatingsDataset:
+    """Load a ratings file, sort it chronologically, and densify the ids.
+
+    The file is first parsed in one C-level pass (``np.loadtxt``).  When
+    that pass rejects the file, it is parsed again line by line
+    (``_parse_lines``, the reference grammar), which also accepts
+    whitespace-only lines and indented comments, and which raises with the
+    ``path:line`` of the first malformed line, including ids or timestamps
+    outside int64.  Any file both passes accept gives the same arrays; a
+    file with no ratings is an error.  The sort is stable, so ratings
+    sharing a timestamp keep their file order.
+    """
+    try:
+        users, items, values, stamps = _parse_fast(path)
+    except ValueError:
+        users, items, values, stamps = _parse_lines(path)
+    if not len(values):
         raise ValueError(f"{path}: no ratings found")
 
-    users = np.asarray(users, dtype=np.int64)
-    items = np.asarray(items, dtype=np.int64)
-    values = np.asarray(values, dtype=float)
-    stamps = np.asarray(stamps, dtype=np.int64)
-
     order = np.argsort(stamps, kind="stable")
-    users, n_users = _dense_remap(users[order])
-    items, n_items = _dense_remap(items[order])
-    return RatingsDataset(users, items, values[order], stamps[order], n_users, n_items)
+    # Every column is reordered before any id is remapped, so the parsed
+    # buffers are freed before np.unique allocates its temporaries.
+    users, items, values, stamps = users[order], items[order], values[order], stamps[order]
+    del order
+    users, n_users = _dense_remap(users)
+    items, n_items = _dense_remap(items)
+    return RatingsDataset(users, items, values, stamps, n_users, n_items)
 
 
 def filter_min_counts(ds: RatingsDataset, min_user: int = 0, min_item: int = 0) -> RatingsDataset:

@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import re
 import tempfile
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import predcorr.cli
 import predcorr.config
 from predcorr import synth_ratings
 from predcorr.cli import (
@@ -19,7 +21,7 @@ from predcorr.cli import (
     main,
 )
 from predcorr.analysis import TailStats, summarize_sweep
-from predcorr.config import ConfigError, parse_config, resolve_configs
+from predcorr.config import ConfigError, build_problem, parse_config, resolve_configs
 
 TOY_RUN = """
 [experiment]
@@ -599,6 +601,27 @@ class TestCheckCommand:
         assert main(["check", "--config", cfg, "--out", str(out)]) == EXIT_OK
         text = (out / "checks.csv").read_text()
         assert text.count("prediction_gap") == 3
+
+    def test_prediction_gap_runs_record_no_gap(self, tmp_path, monkeypatch):
+        # the ratio reads predictions only, so under compute_gap = auto the
+        # two runs per solver still ask for no optimum
+        calls = []
+
+        def counting(config, ratings=None, h=None):
+            problem = build_problem(config, ratings, h)
+            optimum = problem.optimum
+            return dataclasses.replace(
+                problem, optimum=lambda *a: calls.append(a) or optimum(*a)
+            )
+
+        monkeypatch.setattr(predcorr.cli, "build_problem", counting)
+        text = CHECK_ENVELOPE.replace("checks = pl_envelope", "checks = prediction_gap")
+        text = text.replace("steps = 1500", "steps = 200\ncompute_gap = auto")
+        out = tmp_path / "o"
+        code = main(["check", "--config", write_config(tmp_path, text), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+        assert "prediction_gap,tvgd," in (out / "checks.csv").read_text()
+        assert calls == []
 
     def test_post_convergence_check_on_toy_predictor(self, tmp_path):
         text = """

@@ -1,7 +1,13 @@
+import io
+import random
+import warnings
+
 import numpy as np
 import pytest
 
-from predcorr import RatingsDataset, filter_min_counts, load_ratings, synth_ratings
+import predcorr.ratings
+from predcorr import RatingsDataset, filter_min_counts, load_ratings, make_mf, synth_ratings
+from predcorr.cli import EXIT_USAGE, main
 
 
 def write(tmp_path, text, name="ratings.csv"):
@@ -85,6 +91,153 @@ class TestLoadRatings:
         path = write(tmp_path, "4,7,2.5,3\n4,8,1.5,9\n")
         ds = load_ratings(path)
         assert ds.ratings() == [(0, 0, 2.5, 3), (0, 1, 1.5, 9)]
+
+    def test_bad_line_after_skipped_lines_names_its_file_line(self, tmp_path):
+        path = write(
+            tmp_path,
+            "# header\n\n   \n  # indented comment\n1,1,1.0,5\n\t\n1,x,2.0,6\n",
+        )
+        with pytest.raises(ValueError, match=r"ratings\.csv:7: "):
+            load_ratings(path)
+
+    @pytest.mark.parametrize("bad", ["1.0,1,2.0,6", "1,1,2.0,6,7", f"1,{2**63},2.0,6"],
+                             ids=["float_id", "fifth_field", "id_past_int64"])
+    def test_bad_field_names_its_line(self, tmp_path, bad):
+        path = write(tmp_path, f"1,1,1.0,5\n  \n{bad}\n")
+        with pytest.raises(ValueError, match=r"ratings\.csv:3: "):
+            load_ratings(path)
+
+
+def reference_parse(text):
+    """The ratings grammar, one line at a time: rows in file order."""
+    rows = []
+    for raw in io.StringIO(text, newline=None):   # universal newlines, like open()
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            u, i, r, t = line.split(",")
+            rows.append((int(u), int(i), float(r), int(t)))
+    return rows
+
+
+# Lines the one-pass parse rejects and the line-by-line parse skips.
+BLANK_LINES = [" ", "\t \t", "   # indented comment"]
+
+
+def random_ratings_text(rng, blank_lines):
+    """Ratings in the spellings ``int``/``float`` accept, mixed with comments
+    and empty lines, plus ``blank_lines`` lines from ``BLANK_LINES``."""
+    pad = ["", " ", "  ", "\t"]
+    values = ["nan", "-nan", "inf", "-inf", "Infinity", "3", "-0.0", "1E-5", ".5", "+2.5e+3"]
+    newline = rng.choice(["\n", "\r\n"])
+    lines = []
+    for _ in range(rng.randrange(1, 60)):
+        kind = rng.random()
+        if kind < 0.1:
+            lines.append("# a comment, with, commas")
+        elif kind < 0.15:
+            lines.append("")
+        else:
+            fields = [
+                str(rng.randrange(-5, 5)),                    # repeated, negative ids
+                str(rng.choice([rng.randrange(-10**12, 10**12), rng.randrange(3)])),
+                rng.choice(values + [repr(rng.uniform(-5, 5)), f"{rng.gauss(0, 1e6):.9e}"]),
+                str(rng.randrange(-3, 4)),                    # timestamp ties
+            ]
+            line = ",".join(rng.choice(pad) + f + rng.choice(pad) for f in fields)
+            if rng.random() < 0.2:
+                line += " # inline comment"
+            lines.append(line)
+    lines.append("0,0,1.0,0")   # at least one rating
+    for _ in range(blank_lines):
+        lines.insert(rng.randrange(len(lines) + 1), rng.choice(BLANK_LINES))
+    return newline.join(lines) + rng.choice(["", newline])
+
+
+@pytest.mark.parametrize("blank_lines", [0, 3], ids=["fast_path", "fallback"])
+@pytest.mark.parametrize("seed", range(10))
+def test_random_files_load_like_the_reference_parser(tmp_path, monkeypatch, seed, blank_lines):
+    text = random_ratings_text(random.Random(seed), blank_lines)
+    path = tmp_path / "ratings.csv"
+    path.write_bytes(text.encode("utf-8"))
+    fallbacks = []
+    parse_lines = predcorr.ratings._parse_lines
+    monkeypatch.setattr(
+        predcorr.ratings, "_parse_lines", lambda p: fallbacks.append(p) or parse_lines(p)
+    )
+    ds = load_ratings(path)
+    # the one-pass parse takes every file without blank lines
+    assert bool(fallbacks) == bool(blank_lines)
+
+    rows = reference_parse(text)
+    order = sorted(range(len(rows)), key=lambda j: rows[j][3])   # stable
+    users = sorted({r[0] for r in rows})
+    items = sorted({r[1] for r in rows})
+    assert ds.users.tolist() == [users.index(rows[j][0]) for j in order]
+    assert ds.items.tolist() == [items.index(rows[j][1]) for j in order]
+    assert ds.timestamps.tolist() == [rows[j][3] for j in order]
+    assert ds.values.tobytes() == np.array([rows[j][2] for j in order]).tobytes()
+    assert (ds.n_users, ds.n_items) == (len(users), len(items))
+
+
+MF_FILE_RUN = """
+[experiment]
+problem = mf_file
+h = 0.01
+steps = 3
+x0 = randn
+compute_gap = never
+mf_latent_dim = 2
+mf_reveal_per_step = 1
+mf_initial_revealed = 1
+
+[solver tvgd]
+algorithm = tvgd
+C = 1
+beta = 0.5
+"""
+
+
+def test_comment_only_file_is_one_error_line_at_the_cli(tmp_path, capsys):
+    cfg = write(tmp_path, MF_FILE_RUN, name="exp.ini")
+    ratings = write(tmp_path, "# only comments\n\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "--config", str(cfg), "--ratings", str(ratings),
+                     "--out", str(tmp_path / "out")])
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err.strip().split("\n")
+    assert code == EXIT_USAGE
+    assert len(err) == 1 and err[0] == f"error: {ratings}: no ratings found"
+
+
+def old_next_same_pair(users, items, n_items):
+    """The duplicate-pair index as make_mf once computed it per call."""
+    n = len(users)
+    key = users.astype(np.int64) * n_items + items
+    order = np.lexsort((np.arange(n), key))
+    nxt = np.full(n, n + 1, dtype=np.int64)
+    same = key[order[:-1]] == key[order[1:]]
+    nxt[order[:-1][same]] = order[1:][same]
+    return nxt
+
+
+class TestNextSame:
+    def test_matches_the_per_call_index_on_repeated_pairs(self):
+        ds = synth_ratings(6, 5, 300, 2, 0.1, seed=2)   # 300 ratings over 30 pairs
+        assert len(set(zip(ds.users.tolist(), ds.items.tolist()))) < len(ds)
+        expected = old_next_same_pair(ds.users, ds.items, ds.n_items)
+        assert np.array_equal(ds.next_same, expected)
+        assert not ds.next_same.flags.writeable
+
+    def test_two_oracles_share_one_index(self, monkeypatch):
+        ds = synth_ratings(6, 5, 300, 2, 0.1, seed=2)
+        calls = []
+        lexsort = np.lexsort
+        monkeypatch.setattr(np, "lexsort", lambda keys: calls.append(1) or lexsort(keys))
+        for step_period in (0.01, 0.02):
+            make_mf(ds, 2, 0.01, reveal_per_step=5, initial_revealed=10,
+                    step_period=step_period)
+        assert len(calls) == 1
 
 
 class TestFilterMinCounts:

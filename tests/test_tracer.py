@@ -3,8 +3,8 @@
 ``bench/tracing.py`` patches CLI names and wraps oracle fields by name, so
 a program change that renames one of them would silently zero a count of a
 ``--trace 1`` run.  These tests run the tracer unchanged, on a toy run and
-check and on a warm-started matrix-factorization run, and pin their exact
-counts.
+check, on a warm-started matrix-factorization run and on a run that parses
+a ratings file, and pin their exact counts.
 """
 
 import importlib.util
@@ -145,6 +145,52 @@ def test_mf_oracle_is_traced(mf_metrics):
     assert mf_metrics["solvers.steps"] == MF_STEPS
     assert mf_metrics["problems.mf.grad_x_ms_p50"] > 0
     assert mf_metrics["problems.mf.value_ms_p50"] > 0
+
+
+MF_FILE = """
+[experiment]
+problem = mf_file
+h = 0.01
+steps = 4
+x0 = randn
+compute_gap = never
+mf_latent_dim = 2
+mf_reveal_per_step = 5
+mf_initial_revealed = 20
+
+[solver tvgd]
+algorithm = tvgd
+C = 1
+beta = 0.5
+
+[solver foa_min]
+algorithm = foa_min
+C = 1
+beta = 0.5
+zeta = 10
+delta = 1e-10
+"""
+
+
+def test_ratings_file_is_traced(tmp_path):
+    cfg = tmp_path / "mf.ini"
+    cfg.write_text(MF_FILE)
+    ratings = tmp_path / "ratings.csv"
+    ratings.write_text("# user,item,rating,timestamp\n" + "".join(
+        f"{7 * (j % 9)},{3 * (j % 11)},{(j % 5) - 2.0},{(37 * j) % 60}\n" for j in range(60)
+    ))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        argv = ["run", "--config", str(cfg), "--ratings", str(ratings),
+                "--out", str(tmp_path / "run")]
+        assert main(argv) == EXIT_OK
+    m = tracer.metrics()
+    # one parse per command; the set-up and each of the two solvers build
+    # an oracle from the parsed dataset
+    assert m["ratings.load_calls"] == 1
+    assert m["ratings.bytes_parsed"] == ratings.stat().st_size
+    assert m["config.build_problem_calls"] == 1 + 2
+    assert m["solvers.run_calls"] == 2
 
 
 def test_every_exact_metric_is_reported(metrics):
