@@ -24,7 +24,7 @@ import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -114,13 +114,15 @@ class Setup:
     problem: ProblemOracle                 # built at the first period
     grid: list[tuple[float, int]]          # step counts resolved
     x0: np.ndarray
+    n_jobs: int                            # processes for the solver runs
 
 
 def _setup(config: ExperimentConfig, args) -> Setup:
     """Load the dataset once, build the first-period problem and x0."""
     dataset = load_dataset(config, args.ratings)
     problem = build_problem(config, dataset, h=config.grid[0][0])
-    return Setup(dataset, problem, resolve_steps(config, dataset), build_x0(config, problem))
+    x0 = build_x0(config, problem)
+    return Setup(dataset, problem, resolve_steps(config, dataset), x0, args.jobs)
 
 
 @dataclass
@@ -131,46 +133,25 @@ class RunJob:
     h: float
     steps: int
     x0: np.ndarray
-    keep_rows: bool
+    gap: Optional[bool]                    # compute_gap of the run
+    store: bool = False                    # keep the iterates
 
 
-@dataclass
-class RunResult:
-    label: str
-    h: float
-    steps: int
-    diverged: bool
-    diverged_step: Optional[int]
-    mean_pred_seconds: float
-    mean_corr_seconds: float
-    tail: Optional[analysis.TailStats]
-    trace: Optional[Trace]
-
-
-def _execute(job: RunJob) -> RunResult:
+def _execute(job: RunJob) -> Trace:
     problem = build_problem(job.config, job.dataset, h=job.h)
-    grid = TimeGrid(job.h, job.steps)
-    gap = job.config.gap_flag()
-    trace = run(problem, job.solver, grid, job.x0, compute_gap=gap, store_iterates=False)
-    tail = analysis.tail_stats(trace) if not trace.diverged and len(trace) >= 2 else None
-    return RunResult(
-        label=job.solver.label,
-        h=job.h,
-        steps=job.steps,
-        diverged=trace.diverged,
-        diverged_step=trace.diverged_step,
-        mean_pred_seconds=float(np.mean(trace.pred_seconds)),
-        mean_corr_seconds=float(np.mean(trace.corr_seconds)),
-        tail=tail,
-        trace=trace if job.keep_rows else None,
+    return run(
+        problem, job.solver, TimeGrid(job.h, job.steps), job.x0,
+        compute_gap=job.gap, store_iterates=job.store,
     )
 
 
-def _execute_all(jobs: list[RunJob], n_jobs: int) -> list[RunResult]:
+def _execute_all(jobs: list[RunJob], n_jobs: int) -> Iterator[Trace]:
+    """Yield the trace of each job, in job order, as it finishes."""
     if n_jobs <= 1 or len(jobs) <= 1:
-        return [_execute(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(_execute, jobs))
+        yield from map(_execute, jobs)
+    else:
+        with ProcessPoolExecutor(max_workers=min(n_jobs, len(jobs))) as pool:
+            yield from pool.map(_execute, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -186,22 +167,20 @@ def cmd_run(config: ExperimentConfig, args, multi: bool) -> int:
     setup = _setup(config, args)
     h, steps = setup.grid[0]
     jobs = [
-        RunJob(config, setup.dataset, s, h, steps, setup.x0, keep_rows=True)
+        RunJob(config, setup.dataset, s, h, steps, setup.x0, config.gap_flag())
         for s in config.solvers
     ]
-    results = _execute_all(jobs, args.jobs)
-
     out = _out_dir(config, args, multi)
     any_diverged = False
-    for res in results:
-        path = out / f"{res.label}.csv"
-        _write_atomic(path, trace_csv(res.trace, live_timing=config.timing == "live"))
-        status = f"diverged at step {res.diverged_step}" if res.diverged else "ok"
-        any_diverged |= res.diverged
+    for trace in _execute_all(jobs, setup.n_jobs):
+        path = out / f"{trace.label}.csv"
+        _write_atomic(path, trace_csv(trace, live_timing=config.timing == "live"))
+        status = f"diverged at step {trace.diverged_step}" if trace.diverged else "ok"
+        any_diverged |= trace.diverged
         print(
-            f"[run] {res.label:<14} h={res.h:<8g} steps={res.steps:<8d} {status:<22} "
-            f"mean corr {res.mean_corr_seconds:.2e}s  mean pred {res.mean_pred_seconds:.2e}s "
-            f"-> {path}"
+            f"[run] {trace.label:<14} h={h:<8g} steps={steps:<8d} {status:<22} "
+            f"mean corr {np.mean(trace.corr_seconds):.2e}s  "
+            f"mean pred {np.mean(trace.pred_seconds):.2e}s -> {path}"
         )
     if any_diverged and not args.allow_divergence:
         print("[run] divergence detected (use --allow-divergence to accept)", file=sys.stderr)
@@ -213,33 +192,36 @@ def cmd_run(config: ExperimentConfig, args, multi: bool) -> int:
 # sweep
 # ---------------------------------------------------------------------------
 
+def _tail(trace: Trace) -> tuple[bool, Optional[analysis.TailStats]]:
+    """Whether a run diverged, and its tail statistics when it has them."""
+    usable = not trace.diverged and len(trace) >= 2
+    return trace.diverged, analysis.tail_stats(trace) if usable else None
+
+
 def cmd_sweep(config: ExperimentConfig, args, multi: bool) -> int:
     if len(config.grid) < 3:
         print("[sweep] warning: fewer than 3 grid points; slopes are not fitted", file=sys.stderr)
     setup = _setup(config, args)
     jobs = [
-        RunJob(config, setup.dataset, s, h, steps, setup.x0, keep_rows=False)
+        RunJob(config, setup.dataset, s, h, steps, setup.x0, config.gap_flag())
         for s in config.solvers
         for (h, steps) in setup.grid
     ]
-    results = _execute_all(jobs, args.jobs)
-
     out = _out_dir(config, args, multi)
     lines = [SWEEP_HEADER]
+    table: dict[str, dict[float, Optional[analysis.TailStats]]] = {}
     any_diverged = False
-    for res in results:
-        any_diverged |= res.diverged
-        t = res.tail
+    # map() lets go of each trace once its tail is taken, before the next run
+    for (diverged, t), job in zip(map(_tail, _execute_all(jobs, setup.n_jobs)), jobs):
+        any_diverged |= diverged
+        table.setdefault(job.solver.label, {})[job.h] = t
         lines.append(
-            f"{_fmt(res.h)},{res.label},"
+            f"{_fmt(job.h)},{job.solver.label},"
             f"{_fmt(t.max_grad) if t else 'nan'},{_fmt(t.mean_grad) if t else 'nan'},"
             f"{_fmt(t.max_gap if t else None)},{_fmt(t.mean_gap if t else None)}"
         )
     _write_atomic(out / "sweep.csv", "\n".join(lines) + "\n")
 
-    table: dict[str, dict[float, analysis.TailStats]] = {}
-    for res in results:
-        table.setdefault(res.label, {})[res.h] = res.tail
     slope_lines = [SLOPES_HEADER]
     print(f"[sweep] {config.problem}: fitted log-log orders")
     for label, stat, fit in analysis.summarize_sweep(table):
@@ -281,7 +263,7 @@ def _fd_problem_suite():
     ]
 
 
-def check_gradients(config: ExperimentConfig, setup: Optional[Setup]) -> list[CheckOutcome]:
+def check_gradients(config: ExperimentConfig, setup, solvers) -> list[CheckOutcome]:
     outcomes = []
     for problem in _fd_problem_suite():
         rep = finite_difference_check(problem, samples=8, seed=config.seed)
@@ -301,10 +283,6 @@ def check_gradients(config: ExperimentConfig, setup: Optional[Setup]) -> list[Ch
     return outcomes
 
 
-def _trace_for_check(problem, solver, h, steps, x0, gap, store=False) -> Trace:
-    return run(problem, solver, TimeGrid(h, steps), x0, compute_gap=gap, store_iterates=store)
-
-
 def _diverged(check: str, target: str, trace: Trace, h: float) -> CheckOutcome:
     """A failed check whose own solver run diverged: nothing to measure."""
     detail = f"run diverged at step {trace.diverged_step} (h={h:g})"
@@ -321,57 +299,70 @@ def _require_beta_one_over_l1(check: str, solver: SolverConfig, L1: float) -> No
         )
 
 
-def check_pl_envelope(config: ExperimentConfig, setup: Setup) -> list[CheckOutcome]:
+def _pl_envelope_solvers(config: ExperimentConfig) -> list[SolverConfig]:
     solvers = [s for s in config.solvers if s.algorithm == TVGD]
     if not solvers:
         raise ConfigError("pl_envelope needs a [solver ...] section with algorithm = tvgd")
     constants = config.constants
     if not constants.mu or constants.L1 is None:
         raise ConfigError("pl_envelope needs constants mu > 0 and L1 (set keys mu=, L1=)")
+    if not config.has_g2():
+        raise ConfigError("pl_envelope needs constants G2 (set key G2=)")
+    for solver in solvers:
+        _require_beta_one_over_l1("pl_envelope", solver, constants.L1)
+    return solvers
+
+
+def check_pl_envelope(config: ExperimentConfig, setup: Setup, solvers) -> list[CheckOutcome]:
+    jobs = [
+        RunJob(config, setup.dataset, solver, h, steps, setup.x0, gap=True)
+        for h, steps in setup.grid
+        for solver in solvers
+    ]
     outcomes = []
-    for h, steps in setup.grid:
-        problem = (
-            setup.problem if h == config.grid[0][0]
-            else build_problem(config, setup.dataset, h=h)
-        )
-        for solver in solvers:
-            trace = _trace_for_check(problem, solver, h, steps, setup.x0, gap=True)
-            target = f"{solver.label}@h={h:g}"
-            if trace.diverged:
-                outcomes.append(_diverged("pl_envelope", target, trace, h))
-                continue
-            g2 = config.g2(trace.f_pred)
-            if g2 is None:
-                raise ConfigError("pl_envelope needs constants G2 (set key G2=)")
-            _require_beta_one_over_l1("pl_envelope", solver, constants.L1)
-            cst = analysis.ProblemConstants(L1=constants.L1, mu=constants.mu, G2=g2)
-            viol = analysis.check_tvgd_pl_envelope(trace, cst, TimeGrid(h, steps))
-            scale = abs(trace.gap[0]) + analysis.envelope_limit(cst, h)
-            ok = viol <= analysis.bound_tol(scale)
-            outcomes.append(CheckOutcome("pl_envelope", target, ok, viol, f"G2={g2:.3g}"))
+    for trace, job in zip(_execute_all(jobs, setup.n_jobs), jobs):
+        target = f"{trace.label}@h={job.h:g}"
+        if trace.diverged:
+            outcomes.append(_diverged("pl_envelope", target, trace, job.h))
+            continue
+        g2 = config.g2(trace.f_pred)
+        cst = dataclasses.replace(config.constants, G2=g2)
+        viol = analysis.check_tvgd_pl_envelope(trace, cst, TimeGrid(job.h, job.steps))
+        scale = abs(trace.gap[0]) + analysis.envelope_limit(cst, job.h)
+        ok = viol <= analysis.bound_tol(scale)
+        outcomes.append(CheckOutcome("pl_envelope", target, ok, viol, f"G2={g2:.3g}"))
     return outcomes
 
 
-def check_post_convergence_cmd(config: ExperimentConfig, setup: Setup) -> list[CheckOutcome]:
+def _post_convergence_solvers(config: ExperimentConfig) -> list[SolverConfig]:
     solvers = [s for s in config.solvers if s.algorithm in (TVGD, FOA_MIN)]
     if not solvers:
         raise ConfigError("post_convergence needs a tvgd or foa_min solver section")
-    h, steps = setup.grid[0]
-    outcomes = []
+    constants = config.constants
     for solver in solvers:
-        trace = _trace_for_check(setup.problem, solver, h, steps, setup.x0, gap=True)
-        if trace.diverged:
-            outcomes.append(_diverged("post_convergence", solver.label, trace, h))
-            continue
-        cst = dataclasses.replace(config.constants, G2=config.g2(trace.f_pred))
         needed = ("L1", "G2") if solver.algorithm == TVGD else ("L1", "L2", "L3")
-        missing = [key for key in needed if getattr(cst, key) is None]
+        missing = [
+            key for key in needed
+            if (not config.has_g2() if key == "G2" else getattr(constants, key) is None)
+        ]
         if missing:
             raise ConfigError(
                 f"post_convergence on {solver.label} needs constants {', '.join(missing)} "
                 f"(set keys {'=, '.join(missing)}=)"
             )
-        _require_beta_one_over_l1("post_convergence", solver, cst.L1)
+        _require_beta_one_over_l1("post_convergence", solver, constants.L1)
+    return solvers
+
+
+def check_post_convergence(config: ExperimentConfig, setup: Setup, solvers) -> list[CheckOutcome]:
+    h, steps = setup.grid[0]
+    jobs = [RunJob(config, setup.dataset, s, h, steps, setup.x0, gap=True) for s in solvers]
+    outcomes = []
+    for trace, solver in zip(_execute_all(jobs, setup.n_jobs), solvers):
+        if trace.diverged:
+            outcomes.append(_diverged("post_convergence", solver.label, trace, h))
+            continue
+        cst = dataclasses.replace(config.constants, G2=config.g2(trace.f_pred))
         thr = analysis.stationarity_threshold(
             solver.algorithm, cst, h, zeta=solver.zeta, delta=solver.delta
         )
@@ -384,11 +375,8 @@ def check_post_convergence_cmd(config: ExperimentConfig, setup: Setup) -> list[C
         )
         if not rep.converged:
             detail = f"threshold {thr:.4g} never crossed"
-        outcomes.append(
-            CheckOutcome(
-                "post_convergence", solver.label, rep.ok, float(len(rep.violations)), detail
-            )
-        )
+        value = float(len(rep.violations))
+        outcomes.append(CheckOutcome("post_convergence", solver.label, rep.ok, value, detail))
     return outcomes
 
 
@@ -397,75 +385,82 @@ def check_post_convergence_cmd(config: ExperimentConfig, setup: Setup) -> list[C
 _RATIO_WINDOWS = {TVGD: (1.6, 2.4), FOA_MIN: (3.0, 5.0), CP: (3.0, 5.0)}
 
 
-def check_prediction_gap_cmd(config: ExperimentConfig, setup: Setup) -> list[CheckOutcome]:
+def _prediction_gap_solvers(config: ExperimentConfig) -> list[SolverConfig]:
     solvers = [s for s in config.solvers if s.algorithm in _RATIO_WINDOWS]
     if not solvers:
         raise ConfigError("prediction_gap needs a tvgd, foa_min or cp solver section")
-    problem_h = setup.problem
+    return solvers
+
+
+def _prediction_gap(config: ExperimentConfig, setup: Setup, problem_f, solver) -> CheckOutcome:
+    """Run one solver at h and h/2 and compare their largest prediction
+    increases.  The ratio reads predictions only, so no gap is recorded."""
     h, steps = setup.grid[0]
-    problem_f = build_problem(config, setup.dataset, h=h / 2)
-    outcomes = []
-    for solver in solvers:
-        # the ratio reads predictions only, so no gap is recorded
-        tr_c = _trace_for_check(problem_h, solver, h, steps, setup.x0, gap=False, store=True)
-        tr_f = _trace_for_check(
-            problem_f, solver, h / 2, steps, setup.x0, gap=False, store=True
-        )
-        if tr_c.diverged or tr_f.diverged:
-            tr, h_run = (tr_c, h) if tr_c.diverged else (tr_f, h / 2)
-            outcomes.append(_diverged("prediction_gap", solver.label, tr, h_run))
-            continue
-        rep = analysis.check_prediction_gap(problem_h, tr_c, problem_f, tr_f)
-        lo, hi = _RATIO_WINDOWS[solver.algorithm]
-        ok = lo <= rep.ratio <= hi
-        outcomes.append(
-            CheckOutcome(
-                "prediction_gap",
-                solver.label,
-                ok,
-                rep.ratio,
-                f"max increase {rep.increase_coarse:.3e} (h={h:g}) vs "
-                f"{rep.increase_fine:.3e} (h={h/2:g}), window [{lo}, {hi}]",
-            )
-        )
-    return outcomes
+    tr_c, tr_f = _execute_all([
+        RunJob(config, setup.dataset, solver, period, steps, setup.x0, gap=False, store=True)
+        for period in (h, h / 2)
+    ], setup.n_jobs)
+    if tr_c.diverged or tr_f.diverged:
+        tr, h_run = (tr_c, h) if tr_c.diverged else (tr_f, h / 2)
+        return _diverged("prediction_gap", solver.label, tr, h_run)
+    rep = analysis.check_prediction_gap(setup.problem, tr_c, problem_f, tr_f)
+    lo, hi = _RATIO_WINDOWS[solver.algorithm]
+    detail = (
+        f"max increase {rep.increase_coarse:.3e} (h={h:g}) vs "
+        f"{rep.increase_fine:.3e} (h={h/2:g}), window [{lo}, {hi}]"
+    )
+    return CheckOutcome("prediction_gap", solver.label, lo <= rep.ratio <= hi, rep.ratio, detail)
 
 
-def check_lipschitz_optimum_cmd(config: ExperimentConfig, setup: Setup) -> list[CheckOutcome]:
-    constants = config.constants
-    if constants.G2 is None:
+def check_prediction_gap(config: ExperimentConfig, setup: Setup, solvers) -> list[CheckOutcome]:
+    # One solver's pair of traces, with their stored iterates, is alive at a time.
+    problem_f = build_problem(config, setup.dataset, h=setup.grid[0][0] / 2)
+    return [_prediction_gap(config, setup, problem_f, solver) for solver in solvers]
+
+
+def _lipschitz_optimum_solvers(config: ExperimentConfig) -> list[SolverConfig]:
+    if config.constants.G2 is None:
         raise ConfigError("lipschitz_optimum needs constant G2 (set key G2=)")
+    return []
+
+
+def check_lipschitz_optimum(config: ExperimentConfig, setup: Setup, solvers) -> list[CheckOutcome]:
+    g2 = config.constants.G2
     h, steps = setup.grid[0]
-    viol = analysis.check_lipschitz_optimum(setup.problem, TimeGrid(h, steps), constants.G2)
-    ok = viol <= analysis.bound_tol(constants.G2 * h)
-    return [CheckOutcome("lipschitz_optimum", config.problem, ok, viol, f"G2={constants.G2:g}")]
+    viol = analysis.check_lipschitz_optimum(setup.problem, TimeGrid(h, steps), g2)
+    ok = viol <= analysis.bound_tol(g2 * h)
+    return [CheckOutcome("lipschitz_optimum", config.problem, ok, viol, f"G2={g2:g}")]
 
 
-def check_ratio_bound_cmd(config: ExperimentConfig, setup: Optional[Setup]) -> list[CheckOutcome]:
+def check_ratio_bound(config: ExperimentConfig, setup, solvers) -> list[CheckOutcome]:
     worst = analysis.ratio_bound_selftest(trials=config.trials, seed=config.seed)
     ok = worst <= analysis.ABS_TOL
     return [CheckOutcome("ratio_bound", f"{config.trials} trials", ok, worst)]
 
 
+# name -> (select, check).  select(config) returns the solvers the check runs
+# or refuses the config; check(config, setup, solvers) measures.  gradients
+# and ratio_bound run on their own fixed inputs and get no set-up.
 _CHECKS = {
-    "gradients": check_gradients,
-    "ratio_bound": check_ratio_bound_cmd,
-    "lipschitz_optimum": check_lipschitz_optimum_cmd,
-    "pl_envelope": check_pl_envelope,
-    "post_convergence": check_post_convergence_cmd,
-    "prediction_gap": check_prediction_gap_cmd,
+    "gradients": (lambda config: [], check_gradients),
+    "ratio_bound": (lambda config: [], check_ratio_bound),
+    "lipschitz_optimum": (_lipschitz_optimum_solvers, check_lipschitz_optimum),
+    "pl_envelope": (_pl_envelope_solvers, check_pl_envelope),
+    "post_convergence": (_post_convergence_solvers, check_post_convergence),
+    "prediction_gap": (_prediction_gap_solvers, check_prediction_gap),
 }
 
 
 def cmd_check(config: ExperimentConfig, args, multi: bool) -> int:
     if not config.checks:
         raise ConfigError("check command needs a 'checks = ...' key in [experiment]")
-    # The gradients and ratio_bound checks run on their own fixed inputs.
+    # Every configuration a check refuses is refused before any solver runs.
+    plan = [(check, select(config)) for select, check in map(_CHECKS.get, config.checks)]
     needs_setup = set(config.checks) - {"gradients", "ratio_bound"}
     setup = _setup(config, args) if needs_setup else None
     outcomes: list[CheckOutcome] = []
-    for name in config.checks:
-        outcomes += _CHECKS[name](config, setup)
+    for check, solvers in plan:
+        outcomes += check(config, setup, solvers)
 
     out = _out_dir(config, args, multi)
     lines = [CHECKS_HEADER]

@@ -92,6 +92,10 @@ class ExperimentConfig:
     def gap_flag(self) -> Optional[bool]:
         return {"auto": None, "never": False}[self.compute_gap]
 
+    def has_g2(self) -> bool:
+        """Whether ``g2`` gives a value: G2 is set, or the problem has a rule."""
+        return self.constants.G2 is not None or PROBLEMS[self.problem].auto_g2 is not None
+
     def g2(self, f_values) -> Optional[float]:
         """The configured G2, else the problem's rule for the values a run
         reached, else None."""

@@ -87,7 +87,7 @@ class RatingsDataset:
 
 def _dense_remap(ids: Array) -> tuple[Array, int]:
     uniq, inverse = np.unique(ids, return_inverse=True)
-    return inverse.astype(np.int64), len(uniq)
+    return inverse.astype(np.int64, copy=False), len(uniq)
 
 
 # One file line as loadtxt reads it.

@@ -473,6 +473,30 @@ class TestSweepCommand:
                 assert code == EXIT_OK
             assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
 
+    def test_pool_is_capped_at_the_job_count(self, tmp_path, monkeypatch):
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                asked.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(predcorr.cli, "ProcessPoolExecutor", InProcessPool)
+        two_runs = SWEEP_SMALL.replace("h = 0.2, 0.1, 0.05\nsteps = 400, 800, 1600",
+                                       "h = 0.2, 0.1\nsteps = 40, 80")
+        cfg = write_config(tmp_path, two_runs)
+        code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "64"])
+        assert code == EXIT_OK
+        assert asked == [2]
+
     @pytest.mark.parametrize("verb", ["run", "sweep"])
     def test_ratings_file_parsed_once_per_command(self, tmp_path, monkeypatch, verb):
         parsed = []
@@ -647,12 +671,19 @@ delta = 1e-10
     @pytest.mark.parametrize("check, text, beta, step", [
         ("post_convergence", CHECK_POST_CONVERGENCE, "0.01", "0.9090909090909091"),
         ("pl_envelope", CHECK_ENVELOPE.replace("beta = 0.01", "beta = 0.02"), "0.02", "0.01"),
-    ], ids=["post_convergence", "pl_envelope"])
+        # a check listed first does not run before a later one refuses
+        ("post_convergence", CHECK_POST_CONVERGENCE.replace(
+            "checks = post_convergence", "checks = prediction_gap, post_convergence"),
+         "0.01", "0.9090909090909091"),
+    ], ids=["post_convergence", "pl_envelope", "after_prediction_gap"])
     def test_step_other_than_one_over_l1_is_refused(
-        self, tmp_path, capsys, check, text, beta, step
+        self, tmp_path, capsys, monkeypatch, check, text, beta, step
     ):
         # both bounds hold for the step 1/L1 only; at beta = 0.01 the toy's
         # post-convergence check read 161 violations out of 199
+        runs = []
+        run = predcorr.cli.run
+        monkeypatch.setattr(predcorr.cli, "run", lambda *a, **kw: runs.append(a) or run(*a, **kw))
         cfg = write_config(tmp_path, text)
         assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
         err = capsys.readouterr().err.strip().split("\n")
@@ -660,6 +691,7 @@ delta = 1e-10
             f"error: {check}: tvgd has beta = {beta}, but the bound holds for "
             f"beta = 1/L1 = {step}"
         ]
+        assert runs == []   # refused before any solver ran
 
     def test_lipschitz_check_on_constant_optimal_value(self, tmp_path):
         # the toy's optimum stays in one ripple basin, whose f* is a
@@ -703,6 +735,24 @@ beta = 1.0
         err = capsys.readouterr().err.strip().split("\n")
         assert len(err) == 1 and err[0].startswith("error: post_convergence") and "G2" in err[0]
 
+    def test_check_parallel_matches_serial(self, tmp_path):
+        text = CHECK_ENVELOPE.replace("h = 0.1\nsteps = 1500", "h = 0.1, 0.05\nsteps = 300, 300")
+        text = text.replace(
+            "checks = pl_envelope", "L3 = 1\nchecks = pl_envelope, prediction_gap, post_convergence"
+        )
+        text += "\n[solver tvgd_c2]\nalgorithm = tvgd\nC = 2\nbeta = 0.01\n" + "".join(
+            f"\n[solver {name}]\nalgorithm = {name}\nC = 1\nbeta = 0.01\nzeta = 2.5\ndelta = 1e-10\n"
+            for name in ("foa_min", "cp")
+        )
+        cfg = write_config(tmp_path, text)
+        outs = [tmp_path / f"jobs{jobs}" for jobs in (1, 2)]
+        for out, jobs in zip(outs, ("1", "2")):
+            code = main(["check", "--config", cfg, "--out", str(out), "--jobs", jobs])
+            assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+        serial, parallel = ((out / "checks.csv").read_bytes() for out in outs)
+        assert serial == parallel
+        assert serial.count(b"\n") == 1 + 4 + 4 + 3   # header, then the rows of each check
+
     def test_missing_checks_key_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, TOY_RUN)
         assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
@@ -713,7 +763,8 @@ beta = 1.0
         ("prediction_gap", "toy"),
     ])
     def test_diverged_check_run_is_a_fail_row(self, tmp_path, check, problem):
-        # a step of 1e9 throws the first correction far past the domain guard
+        # a step of 1e9 throws the first correction far past the domain guard;
+        # L1 = 1e-9 makes it the step 1/L1 that the bound checks require
         text = f"""
 [experiment]
 problem = {problem}
@@ -722,6 +773,8 @@ steps = 20
 x0 = 8.0
 checks = {check}
 G2 = 1.0
+L1 = 1e-9
+mu = 1e-10
 
 [solver tvgd]
 algorithm = tvgd

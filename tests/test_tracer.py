@@ -81,16 +81,17 @@ def test_exact_counts(metrics):
     assert metrics["solvers.run_calls"] == runs
     assert metrics["solvers.steps"] == runs * STEPS
     assert metrics["solvers.diverged_runs"] == 0
-    # run: set-up plus one per solver; check: set-up plus the h/2 problem
-    assert metrics["config.build_problem_calls"] == 5 + 2
+    # run: set-up plus one per solver; check: set-up, the h/2 problem the
+    # ratio reads, and one per prediction-gap run
+    assert metrics["config.build_problem_calls"] == 5 + 8
     assert metrics["core.fd_check_calls"] == 6
     # one Hessian per ufopc and cp step, and 8 samples on each of the five
     # problems with one (d = 1 for the toy, 10 for the rest)
     hess_in_runs = STEPS * (1 + 3)
     assert metrics["problems.hess_xx_calls"] == hess_in_runs + 5 * 8
     assert metrics["problems.hess_bytes_computed"] == 8 * (hess_in_runs + 8 + 4 * 8 * 100)
-    # a tail per run trace, one prediction-gap ratio per eligible solver
-    assert metrics["analysis.calls"] == 4 + 3
+    # one prediction-gap ratio per eligible solver; run computes no tails
+    assert metrics["analysis.calls"] == 3
     # a row per step of each run trace, a row per check outcome
     assert metrics["cli.csv_rows"] == 4 * STEPS + 6 + 3
     assert metrics["problems.value_calls"] > 0 and metrics["problems.grad_x_calls"] > 0
