@@ -371,24 +371,16 @@ def average_gradient_bound(
 # Prediction-gap order
 # ---------------------------------------------------------------------------
 
-def max_prediction_increase(problem: ProblemOracle, trace: Trace) -> float:
+def max_prediction_increase(trace: Trace) -> float:
     """Largest one-step value increase ``f(entering_{k+1}; t_{k+1}) -
-    f(corrected_k; t_k)`` along a run.
-
-    The entering value is already recorded; the corrected value is evaluated
-    through the oracle at the stored corrected iterate.
-    """
-    if trace.x_corr is None:
-        raise ValueError("prediction-increase needs a trace with stored iterates")
+    f(corrected_k; t_k)`` along a run that recorded ``f_corr``."""
+    if trace.f_corr is None:
+        raise ValueError("prediction-increase needs a trace with f_corr recorded")
     if trace.diverged:
         raise DivergedTraceError(trace.diverged_step)
     if len(trace) < 2:
         raise ValueError("need at least 2 steps")
-    worst = -math.inf
-    for k in range(len(trace) - 1):
-        f_corr = problem.value(trace.x_corr[k], trace.t[k])
-        worst = max(worst, float(trace.f_pred[k + 1] - f_corr))
-    return worst
+    return float(np.max(trace.f_pred[1:] - trace.f_corr[:-1]))
 
 
 @dataclass
@@ -406,16 +398,10 @@ class PredictionGapReport:
     ratio: float
 
 
-def check_prediction_gap(
-    problem_coarse: ProblemOracle,
-    trace_coarse: Trace,
-    problem_fine: ProblemOracle,
-    trace_fine: Trace,
-) -> PredictionGapReport:
-    """Largest prediction increases of a coarse and a fine run, each on its
-    own oracle (a matrix-factorization problem is built per period)."""
-    inc_c = max_prediction_increase(problem_coarse, trace_coarse)
-    inc_f = max_prediction_increase(problem_fine, trace_fine)
+def check_prediction_gap(trace_coarse: Trace, trace_fine: Trace) -> PredictionGapReport:
+    """Largest prediction increases of a coarse and a fine run."""
+    inc_c = max_prediction_increase(trace_coarse)
+    inc_f = max_prediction_increase(trace_fine)
     measurable = all(
         inc > bound_tol(float(np.max(np.abs(tr.f_pred))))
         for inc, tr in ((inc_c, trace_coarse), (inc_f, trace_fine))

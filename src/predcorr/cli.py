@@ -43,7 +43,7 @@ from .config import (
 from .core import MissingOracleError, ProblemOracle, TimeGrid, finite_difference_check
 from .problems import make_linreg, make_mf, make_robust, make_toy
 from .ratings import RatingsDataset, synth_ratings
-from .solvers import CP, FOA_MIN, TVGD, SolverConfig, Trace, run
+from .solvers import CP, FOA_MIN, TVGD, SolverConfig, Trace, require_oracles, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -117,10 +117,14 @@ class Setup:
     n_jobs: int                            # processes for the solver runs
 
 
-def _setup(config: ExperimentConfig, args) -> Setup:
-    """Load the dataset once, build the first-period problem and x0."""
+def _setup(config: ExperimentConfig, args, solvers: list[SolverConfig]) -> Setup:
+    """Load the dataset once, build the first-period problem and x0.  A
+    solver in ``solvers`` that needs an oracle the problem lacks is refused
+    here, before any run."""
     dataset = load_dataset(config, args.ratings)
     problem = build_problem(config, dataset, h=config.grid[0][0])
+    for solver in solvers:
+        require_oracles(problem, solver)
     x0 = build_x0(config, problem)
     return Setup(dataset, problem, resolve_steps(config, dataset), x0, args.jobs)
 
@@ -134,24 +138,26 @@ class RunJob:
     steps: int
     x0: np.ndarray
     gap: Optional[bool]                    # compute_gap of the run
-    store: bool = False                    # keep the iterates
+    f_corr: bool = False                   # record_f_corr of the run
 
 
 def _execute(job: RunJob) -> Trace:
     problem = build_problem(job.config, job.dataset, h=job.h)
     return run(
         problem, job.solver, TimeGrid(job.h, job.steps), job.x0,
-        compute_gap=job.gap, store_iterates=job.store,
+        compute_gap=job.gap, record_f_corr=job.f_corr,
     )
 
 
-def _execute_all(jobs: list[RunJob], n_jobs: int) -> Iterator[Trace]:
-    """Yield the trace of each job, in job order, as it finishes."""
+def _execute_all(jobs: list[RunJob], n_jobs: int, fn=_execute) -> Iterator:
+    """Yield ``fn(job)`` for each job, in job order, as it finishes.  ``fn``
+    is a module-level function, so a process pool can pickle it, and what it
+    returns is all that travels back from a worker."""
     if n_jobs <= 1 or len(jobs) <= 1:
-        yield from map(_execute, jobs)
+        yield from map(fn, jobs)
     else:
         with ProcessPoolExecutor(max_workers=min(n_jobs, len(jobs))) as pool:
-            yield from pool.map(_execute, jobs)
+            yield from pool.map(fn, jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +170,7 @@ def _out_dir(config: ExperimentConfig, args, multi: bool) -> Path:
 
 
 def cmd_run(config: ExperimentConfig, args, multi: bool) -> int:
-    setup = _setup(config, args)
+    setup = _setup(config, args, config.solvers)
     h, steps = setup.grid[0]
     jobs = [
         RunJob(config, setup.dataset, s, h, steps, setup.x0, config.gap_flag())
@@ -198,10 +204,14 @@ def _tail(trace: Trace) -> tuple[bool, Optional[analysis.TailStats]]:
     return trace.diverged, analysis.tail_stats(trace) if usable else None
 
 
+def _execute_tail(job: RunJob) -> tuple[bool, Optional[analysis.TailStats]]:
+    return _tail(_execute(job))
+
+
 def cmd_sweep(config: ExperimentConfig, args, multi: bool) -> int:
     if len(config.grid) < 3:
         print("[sweep] warning: fewer than 3 grid points; slopes are not fitted", file=sys.stderr)
-    setup = _setup(config, args)
+    setup = _setup(config, args, config.solvers)
     jobs = [
         RunJob(config, setup.dataset, s, h, steps, setup.x0, config.gap_flag())
         for s in config.solvers
@@ -211,8 +221,7 @@ def cmd_sweep(config: ExperimentConfig, args, multi: bool) -> int:
     lines = [SWEEP_HEADER]
     table: dict[str, dict[float, Optional[analysis.TailStats]]] = {}
     any_diverged = False
-    # map() lets go of each trace once its tail is taken, before the next run
-    for (diverged, t), job in zip(map(_tail, _execute_all(jobs, setup.n_jobs)), jobs):
+    for (diverged, t), job in zip(_execute_all(jobs, setup.n_jobs, _execute_tail), jobs):
         any_diverged |= diverged
         table.setdefault(job.solver.label, {})[job.h] = t
         lines.append(
@@ -392,18 +401,18 @@ def _prediction_gap_solvers(config: ExperimentConfig) -> list[SolverConfig]:
     return solvers
 
 
-def _prediction_gap(config: ExperimentConfig, setup: Setup, problem_f, solver) -> CheckOutcome:
+def _prediction_gap(config: ExperimentConfig, setup: Setup, solver) -> CheckOutcome:
     """Run one solver at h and h/2 and compare their largest prediction
     increases.  The ratio reads predictions only, so no gap is recorded."""
     h, steps = setup.grid[0]
     tr_c, tr_f = _execute_all([
-        RunJob(config, setup.dataset, solver, period, steps, setup.x0, gap=False, store=True)
+        RunJob(config, setup.dataset, solver, period, steps, setup.x0, gap=False, f_corr=True)
         for period in (h, h / 2)
     ], setup.n_jobs)
     if tr_c.diverged or tr_f.diverged:
         tr, h_run = (tr_c, h) if tr_c.diverged else (tr_f, h / 2)
         return _diverged("prediction_gap", solver.label, tr, h_run)
-    rep = analysis.check_prediction_gap(setup.problem, tr_c, problem_f, tr_f)
+    rep = analysis.check_prediction_gap(tr_c, tr_f)
     lo, hi = _RATIO_WINDOWS[solver.algorithm]
     detail = (
         f"max increase {rep.increase_coarse:.3e} (h={h:g}) vs "
@@ -413,9 +422,8 @@ def _prediction_gap(config: ExperimentConfig, setup: Setup, problem_f, solver) -
 
 
 def check_prediction_gap(config: ExperimentConfig, setup: Setup, solvers) -> list[CheckOutcome]:
-    # One solver's pair of traces, with their stored iterates, is alive at a time.
-    problem_f = build_problem(config, setup.dataset, h=setup.grid[0][0] / 2)
-    return [_prediction_gap(config, setup, problem_f, solver) for solver in solvers]
+    # One solver's pair of traces is alive at a time.
+    return [_prediction_gap(config, setup, solver) for solver in solvers]
 
 
 def _lipschitz_optimum_solvers(config: ExperimentConfig) -> list[SolverConfig]:
@@ -457,7 +465,13 @@ def cmd_check(config: ExperimentConfig, args, multi: bool) -> int:
     # Every configuration a check refuses is refused before any solver runs.
     plan = [(check, select(config)) for select, check in map(_CHECKS.get, config.checks)]
     needs_setup = set(config.checks) - {"gradients", "ratio_bound"}
-    setup = _setup(config, args) if needs_setup else None
+    planned = [solver for _, solvers in plan for solver in solvers]
+    setup = _setup(config, args, planned) if needs_setup else None
+    if "prediction_gap" in config.checks and setup.grid[0][1] < 2:
+        raise ConfigError(
+            f"prediction_gap needs at least 2 steps at h = {setup.grid[0][0]:g}, "
+            f"got {setup.grid[0][1]}"
+        )
     outcomes: list[CheckOutcome] = []
     for check, solvers in plan:
         outcomes += check(config, setup, solvers)

@@ -102,14 +102,13 @@ class SolverConfig:
 class Trace:
     """Per-step record of one solver run.
 
-    Row k describes time ``t_k``: the entering (predicted) iterate, the loss
-    and gradient norm incurred there, the corrected iterate, and the wall
-    clock spent correcting at ``t_k`` and predicting for ``t_{k+1}``.
-    For TVGD the entering iterate of step k+1 is the corrected iterate of
-    step k, so the identity prediction makes the trace layout uniform.
+    Row k describes time ``t_k``: the loss and gradient norm incurred at
+    the entering (predicted) iterate, and the wall clock spent correcting at
+    ``t_k`` and predicting for ``t_{k+1}``.  No iterate is kept.
     ``gap`` is ``f(entering; t_k) - f*(t_k)`` when an optimum oracle was
-    consulted, else None.  A diverged run is truncated at the step where the
-    divergence was detected.
+    consulted, else None.  ``f_corr`` is ``f(corrected; t_k)`` when the run
+    was asked to record it, else None.  A diverged run is truncated at the
+    step where the divergence was detected; there ``f_corr`` is NaN.
     """
 
     t: Array
@@ -118,8 +117,7 @@ class Trace:
     gap: Optional[Array]
     pred_seconds: Array
     corr_seconds: Array
-    x_pred: Optional[Array]
-    x_corr: Optional[Array]
+    f_corr: Optional[Array]
     diverged: bool = False
     diverged_step: Optional[int] = None
     algorithm: str = ""
@@ -253,13 +251,20 @@ def g_select(
     return 2.0 * g - problem.grad_x(x, t - h)
 
 
+def require_oracles(problem: ProblemOracle, config: SolverConfig) -> None:
+    """Raise :class:`MissingOracleError` unless ``problem`` provides every
+    oracle ``config``'s algorithm calls: ufopc and cp read the Hessian."""
+    if config.algorithm in (UFOPC, CP):
+        require(problem, "hess_xx")
+
+
 def run(
     problem: ProblemOracle,
     config: SolverConfig,
     grid: TimeGrid,
     x0: Array,
     compute_gap: Optional[bool] = None,
-    store_iterates: bool = True,
+    record_f_corr: bool = False,
 ) -> Trace:
     """Execute the incur-correct-predict loop over the whole time grid.
 
@@ -268,9 +273,8 @@ def run(
         True   record gaps; a missing optimum oracle raises
                :class:`MissingOracleError`
         False  never record gaps
-    store_iterates:
-        keep per-step entering/corrected iterates in the trace (disable for
-        long sweeps to bound memory).
+    record_f_corr:
+        record ``f(corrected; t_k)`` per step, one extra value call each.
 
     The run stops early, with the diverged flag set, at one of two checks
     per step.  After the entry evaluation: the entering iterate is
@@ -279,8 +283,7 @@ def run(
     outside the guard.  A missing Hessian for ufopc or cp raises
     :class:`MissingOracleError` before the first step.
     """
-    if config.algorithm in (UFOPC, CP):
-        require(problem, "hess_xx")
+    require_oracles(problem, config)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({problem.dim},)")
@@ -300,8 +303,7 @@ def run(
     gap_arr = np.full(n, np.nan) if want_gap else None
     pred_s = np.zeros(n)
     corr_s = np.zeros(n)
-    xp_arr = np.empty((n, problem.dim)) if store_iterates else None
-    xc_arr = np.empty((n, problem.dim)) if store_iterates else None
+    fc_arr = np.full(n, np.nan) if record_f_corr else None
 
     algo = config.algorithm
     h = grid.h
@@ -315,9 +317,6 @@ def run(
     for k in range(n):
         t = grid.t(k)
         t_arr[k] = t
-        if xp_arr is not None:
-            xp_arr[k] = x_in
-            xc_arr[k] = x_in
         inside = np.isfinite(x_in).all() and _norm(x_in) <= guard
         if inside:
             f_arr[k] = problem.value(x_in, t)
@@ -342,11 +341,11 @@ def run(
         except DivergenceError:
             x_c = np.full(problem.dim, np.nan)
         corr_s[k] = perf() - t0
-        if xc_arr is not None:
-            xc_arr[k] = x_c
         if not _norm(x_c) <= guard:
             diverged_at = k
             break
+        if fc_arr is not None:
+            fc_arr[k] = problem.value(x_c, t)
 
         t0 = perf()
         if algo == TVGD:
@@ -377,8 +376,7 @@ def run(
         gap=cut(gap_arr),
         pred_seconds=pred_s[:end],
         corr_seconds=corr_s[:end],
-        x_pred=cut(xp_arr),
-        x_corr=cut(xc_arr),
+        f_corr=cut(fc_arr),
         diverged=diverged_at is not None,
         diverged_step=diverged_at,
         algorithm=algo,

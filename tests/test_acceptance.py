@@ -68,7 +68,7 @@ def test_criterion_1_pl_gap_orders():
     for name, cfg in solvers.items():
         pts = []
         for h, steps in grid5:
-            tr = run(problem, cfg, TimeGrid(h, steps), x0, store_iterates=False)
+            tr = run(problem, cfg, TimeGrid(h, steps), x0)
             pts.append((h, tail_stats(tr).mean_gap))
         slopes[name] = fit_order(pts).slope
     ok = (
@@ -104,10 +104,7 @@ def test_criterion_2_nonconvex_gradient_orders():
         ):
             pts = []
             for h, steps in grid7:
-                tr = run(
-                    problem, cfg, TimeGrid(h, steps), x0,
-                    compute_gap=False, store_iterates=False,
-                )
+                tr = run(problem, cfg, TimeGrid(h, steps), x0, compute_gap=False)
                 pts.append((h, tail_stats(tr).mean_grad))
             slopes[name] = fit_order(pts).slope
         loss_ok = 0.7 <= slopes["foa_min"] <= 1.3 and slopes["tvgd"] < slopes["foa_min"] - 0.2
@@ -173,7 +170,7 @@ def table5_tvgd_traces():
     tvgd = next(s for s in cfg.solvers if s.algorithm == "tvgd")
     out = {}
     for h, steps in cfg.grid:
-        out[h] = run(problem, tvgd, TimeGrid(h, steps), x0, store_iterates=False)
+        out[h] = run(problem, tvgd, TimeGrid(h, steps), x0)
     return out
 
 
@@ -240,8 +237,8 @@ def test_criterion_6_prediction_gap_orders():
     for name, cfg in solvers.items():
         inc = {}
         for h in (0.05, 0.025):
-            tr = run(toy, cfg, TimeGrid(h, steps), x0)
-            inc[h] = max_prediction_increase(toy, tr)
+            tr = run(toy, cfg, TimeGrid(h, steps), x0, record_f_corr=True)
+            inc[h] = max_prediction_increase(tr)
         ratio = inc[0.05] / inc[0.025]
         lo, hi = windows[name]
         ok &= lo <= ratio <= hi
@@ -358,7 +355,7 @@ def test_criterion_9_mf_prediction_beats_gradient_only():
                     ),
                 ),
             ):
-                tr = run(problem, cfg, grid, x0, compute_gap=False, store_iterates=False)
+                tr = run(problem, cfg, grid, x0, compute_gap=False)
                 assert not tr.diverged
                 quarter = tr.grad_norm[len(tr) - len(tr) // 4:]
                 maxg[name] = float(np.max(quarter))

@@ -30,7 +30,7 @@ from predcorr.solvers import Trace
 
 
 
-def fake_trace(grads, gaps=None, diverged=False, diverged_step=None, x=None):
+def fake_trace(grads, gaps=None, diverged=False, diverged_step=None, f_corr=None):
     n = len(grads)
     return Trace(
         t=np.arange(n) * 0.1,
@@ -39,8 +39,7 @@ def fake_trace(grads, gaps=None, diverged=False, diverged_step=None, x=None):
         gap=None if gaps is None else np.asarray(gaps, dtype=float),
         pred_seconds=np.zeros(n),
         corr_seconds=np.zeros(n),
-        x_pred=x,
-        x_corr=x,
+        f_corr=None if f_corr is None else np.asarray(f_corr, dtype=float),
         diverged=diverged,
         diverged_step=diverged_step,
         algorithm="tvgd",
@@ -242,54 +241,48 @@ class TestPostConvergence:
 class TestPredictionGap:
     def test_ratio_on_manufactured_traces(self, quadratic2):
         # entering values rise by 0.4 (coarse) vs 0.1 (fine) per step from a
-        # corrected point at the origin
-        x = np.zeros((3, 2))
-        coarse = fake_trace([0.0, 0.4, 0.8], x=x)
-        fine = fake_trace([0.0, 0.1, 0.2], x=x)
-        rep = check_prediction_gap(quadratic2, coarse, quadratic2, fine)
+        # corrected point at the origin, where quadratic2 is 0
+        zero = [quadratic2.value(np.zeros(2), 0.0)] * 3
+        coarse = fake_trace([0.0, 0.4, 0.8], f_corr=zero)
+        fine = fake_trace([0.0, 0.1, 0.2], f_corr=zero)
+        rep = check_prediction_gap(coarse, fine)
         assert rep.increase_coarse == pytest.approx(0.8)  # worst step wins
         assert rep.increase_fine == pytest.approx(0.2)
         assert rep.ratio == pytest.approx(4.0)
         # a non-positive maximum (predictions never raised f) has no ratio
-        lowering = fake_trace([0.0, -0.1, -0.2], x=x)
-        rep = check_prediction_gap(quadratic2, coarse, quadratic2, lowering)
+        lowering = fake_trace([0.0, -0.1, -0.2], f_corr=zero)
+        rep = check_prediction_gap(coarse, lowering)
         assert rep.increase_fine == pytest.approx(-0.1)
         assert math.isnan(rep.ratio)
-        rep = check_prediction_gap(quadratic2, lowering, quadratic2, lowering)
+        rep = check_prediction_gap(lowering, lowering)
         assert math.isnan(rep.ratio)
         # maxima at rounding level have no ratio either (2.0 here), and the
         # level scales with the largest |f| each run entered with
-        tiny_c = fake_trace([0.0, 7.88e-15, 7.88e-15], x=x)
-        tiny_f = fake_trace([0.0, 3.94e-15, 3.94e-15], x=x)
-        rep = check_prediction_gap(quadratic2, tiny_c, quadratic2, tiny_f)
+        tiny_c = fake_trace([0.0, 7.88e-15, 7.88e-15], f_corr=zero)
+        tiny_f = fake_trace([0.0, 3.94e-15, 3.94e-15], f_corr=zero)
+        rep = check_prediction_gap(tiny_c, tiny_f)
         assert rep.increase_coarse == pytest.approx(7.88e-15)
         assert math.isnan(rep.ratio)
-        lifted = ProblemOracle(
-            dim=2, value=lambda x, t: quadratic2.value(x, t) + 1e3, grad_x=quadratic2.grad_x
-        )
-        level = fake_trace([1e3, 1e3 + 2e-7, 1e3 + 4e-7], x=x)
-        rep = check_prediction_gap(lifted, level, quadratic2, fine)
+        level = fake_trace([1e3, 1e3 + 2e-7, 1e3 + 4e-7], f_corr=[1e3] * 3)
+        rep = check_prediction_gap(level, fine)
         assert rep.increase_coarse == pytest.approx(4e-7, rel=1e-6)
         assert math.isnan(rep.ratio)
-        # each run is evaluated on its own oracle: f = f_quadratic2 + 0.1
-        shifted = ProblemOracle(
-            dim=2,
-            value=lambda x, t: quadratic2.value(x, t) + 0.1,
-            grad_x=quadratic2.grad_x,
-        )
-        rep = check_prediction_gap(quadratic2, coarse, shifted, fine)
+        # each run's increase is measured from its own corrected values
+        fine_shifted = fake_trace([0.0, 0.1, 0.2], f_corr=[0.1] * 3)
+        rep = check_prediction_gap(coarse, fine_shifted)
         assert rep.increase_coarse == pytest.approx(0.8)
         assert rep.increase_fine == pytest.approx(0.1)
         assert rep.ratio == pytest.approx(8.0)
 
     def test_increase_uses_corrected_point_value(self, quadratic2):
-        x = np.array([[1.0, 0.0], [0.0, 0.0]])  # f(corrected_0) = 0.5
-        tr = fake_trace([0.7, 0.6], x=x)
-        assert max_prediction_increase(quadratic2, tr) == pytest.approx(0.1)
+        f_corr = [quadratic2.value(np.array(x), 0.0) for x in ([1.0, 0.0], [0.0, 0.0])]
+        assert f_corr == [0.5, 0.0]
+        tr = fake_trace([0.7, 0.6], f_corr=f_corr)
+        assert max_prediction_increase(tr) == pytest.approx(0.1)
 
-    def test_requires_iterates(self, quadratic2):
-        with pytest.raises(ValueError, match="iterates"):
-            max_prediction_increase(quadratic2, fake_trace([1.0, 2.0]))
+    def test_requires_iterates(self):
+        with pytest.raises(ValueError, match="f_corr"):
+            max_prediction_increase(fake_trace([1.0, 2.0]))
 
 
 class TestRatioBound:
@@ -353,18 +346,18 @@ class TestOnRealSolvers:
     def test_time_invariant_increase_without_prediction_is_nonpositive(self, quadratic2):
         # no drift and no prediction step: the entering value can only fall
         cfg = SolverConfig(algorithm="tvgd", C=1, beta=0.25)
-        tr = run(quadratic2, cfg, TimeGrid(0.1, 50), np.array([3.0, -2.0]))
-        assert max_prediction_increase(quadratic2, tr) <= bound_tol(1.0)
+        tr = run(quadratic2, cfg, TimeGrid(0.1, 50), np.array([3.0, -2.0]), record_f_corr=True)
+        assert max_prediction_increase(tr) <= bound_tol(1.0)
 
     def test_time_invariant_increase_with_prediction_obeys_step_bound(self, quadratic2):
         # the fixed-length normalized step can overshoot a nearby optimum,
         # so the increase is not signed; it stays within g2_bar * h^2
         cfg = SolverConfig(algorithm="foa_min", C=1, beta=0.25, zeta=1.0, delta=1e-10)
         h = 0.1
-        tr = run(quadratic2, cfg, TimeGrid(h, 50), np.array([3.0, -2.0]))
+        tr = run(quadratic2, cfg, TimeGrid(h, 50), np.array([3.0, -2.0]), record_f_corr=True)
         c = ProblemConstants(L1=4.0, L2=0.0, L3=0.0)
         cap = g2_bar(c, zeta=1.0, delta=1e-10, h=h) * h * h
-        assert max_prediction_increase(quadratic2, tr) <= cap + bound_tol(cap)
+        assert max_prediction_increase(tr) <= cap + bound_tol(cap)
 
     def test_toy_post_convergence_zero_violations(self):
         # drifting ripple benchmark under the normalized-step predictor

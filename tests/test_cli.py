@@ -22,6 +22,7 @@ from predcorr.cli import (
 )
 from predcorr.analysis import TailStats, summarize_sweep
 from predcorr.config import ConfigError, build_problem, parse_config, resolve_configs
+from predcorr.solvers import Trace
 
 TOY_RUN = """
 [experiment]
@@ -474,7 +475,7 @@ class TestSweepCommand:
             assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
 
     def test_pool_is_capped_at_the_job_count(self, tmp_path, monkeypatch):
-        asked = []
+        asked, returned = [], []
 
         class InProcessPool:
             def __init__(self, max_workers):
@@ -487,7 +488,9 @@ class TestSweepCommand:
                 return False
 
             def map(self, fn, jobs):
-                return map(fn, jobs)
+                # what a worker would pickle back to the parent
+                returned.extend(map(fn, jobs))
+                return iter(returned)
 
         monkeypatch.setattr(predcorr.cli, "ProcessPoolExecutor", InProcessPool)
         two_runs = SWEEP_SMALL.replace("h = 0.2, 0.1, 0.05\nsteps = 400, 800, 1600",
@@ -496,6 +499,9 @@ class TestSweepCommand:
         code = main(["sweep", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "64"])
         assert code == EXIT_OK
         assert asked == [2]
+        # a sweep's workers send back tail statistics, never a whole trace
+        assert len(returned) == 2
+        assert not any(isinstance(v, Trace) for result in returned for v in result)
 
     @pytest.mark.parametrize("verb", ["run", "sweep"])
     def test_ratings_file_parsed_once_per_command(self, tmp_path, monkeypatch, verb):
@@ -789,6 +795,54 @@ beta = 1e9
         name, _, status, value, detail = rows[0].split(",")
         assert (name, status, value) == (check, "FAIL", "nan")
         assert re.fullmatch(r"run diverged at step \d+ \(h=0\.1\)", detail)
+
+
+class TestRefusedBeforeAnyRun:
+    """Configurations that cannot run end in exit 1 with one line, before
+    any solver runs and before any CSV is written."""
+
+    def refused(self, tmp_path, capsys, monkeypatch, verb, text):
+        runs = []
+        monkeypatch.setattr(predcorr.cli, "run", lambda *a, **kw: runs.append(a))
+        out = tmp_path / "o"
+        code = main([verb, "--config", write_config(tmp_path, text), "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert runs == []
+        assert not out.exists() or not list(out.rglob("*.csv"))
+        err = capsys.readouterr().err.strip().split("\n")
+        assert len(err) == 1 and err[0].startswith("error: ")
+        return err[0]
+
+    @pytest.mark.parametrize("verb", ["run", "sweep", "check"])
+    def test_missing_hessian(self, tmp_path, capsys, monkeypatch, verb):
+        # the cp solver is listed after tvgd, which alone could run
+        text = MF_SYNTH_RUN.replace("h = 0.01\nsteps = 3", "h = 0.01, 0.02, 0.04\nsteps = 3, 3, 3")
+        text = text.replace("compute_gap = never", "compute_gap = never\nchecks = prediction_gap")
+        text += "\n[solver cp]\nalgorithm = cp\nC = 1\nbeta = 5\nzeta = 1\n"
+        err = self.refused(tmp_path, capsys, monkeypatch, verb, text)
+        assert err == "error: problem 'mf' does not provide: hess_xx"
+
+    def test_check_needs_oracles_of_its_planned_solvers_only(self, tmp_path):
+        # prediction_gap has no window for ufopc, so its Hessian is not needed
+        text = MF_SYNTH_RUN.replace("compute_gap = never", "checks = prediction_gap")
+        text += "\n[solver ufopc]\nalgorithm = ufopc\nC = 1\nbeta = 5\nP = 1\n"
+        out = tmp_path / "o"
+        code = main(["check", "--config", write_config(tmp_path, text), "--out", str(out)])
+        assert code in (EXIT_OK, EXIT_CHECK_FAILED)
+        rows = (out / "checks.csv").read_text().splitlines()[1:]
+        assert [r.split(",")[1] for r in rows] == ["tvgd"]
+
+    @pytest.mark.parametrize("problem", ["toy", "mf_synth"])
+    def test_prediction_gap_needs_two_steps(self, tmp_path, capsys, monkeypatch, problem):
+        if problem == "toy":
+            text = CHECK_PREDICTION_GAP.replace("steps = 200", "steps = 1")
+        else:
+            # the initial reveal is the whole stream, so auto resolves to 1
+            text = MF_SYNTH_RUN.replace("steps = 3", "steps = auto").replace(
+                "mf_initial_revealed = 200", "mf_initial_revealed = 400"
+            ).replace("compute_gap = never", "compute_gap = never\nchecks = prediction_gap")
+        err = self.refused(tmp_path, capsys, monkeypatch, "check", text)
+        assert err.startswith("error: prediction_gap needs at least 2 steps") and err.endswith("got 1")
 
 
 # One numeric key replaced by a token from a fixed set.  The set holds no

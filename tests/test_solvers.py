@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -45,6 +46,22 @@ def counting_grad(problem):
         return problem.grad_x(x, t)
 
     return replace(problem, grad_x=grad_x), calls
+
+
+def run_iterates(problem, config, grid, x0):
+    """Run with ``f_corr`` recorded and return ``(trace, x_pred, x_corr)``,
+    the entering and corrected iterate of every step as (steps, dim)
+    arrays, logged from the points ``value`` receives: such a run calls it
+    twice per step, at the entering point, then at the corrected one."""
+    points = []
+
+    def value(x, t):
+        points.append(x.copy())
+        return problem.value(x, t)
+
+    trace = run(replace(problem, value=value), config, grid, x0, record_f_corr=True)
+    assert len(points) == 2 * len(trace)
+    return trace, np.array(points[0::2]), np.array(points[1::2])
 
 
 class TestSolverConfig:
@@ -292,29 +309,30 @@ class TestRun:
         p = diag_quadratic([1.0, 1.0])
         cfg = SolverConfig(algorithm=TVGD, C=0, beta=1.0)
         x0 = np.array([2.0, -1.0])
-        tr = run(p, cfg, TimeGrid(0.1, 1), x0)
+        tr, _, x_corr = run_iterates(p, cfg, TimeGrid(0.1, 1), x0)
         assert len(tr) == 1 and not tr.diverged
-        assert np.array_equal(tr.x_corr[0], x0)
+        assert np.array_equal(x_corr[0], x0)
         assert tr.f_pred[0] == p.value(x0, 0.0)
 
     def test_tvgd_entering_point_is_previous_corrected(self):
         toy = make_toy()
         cfg = SolverConfig(algorithm=TVGD, C=1, beta=1.0)
-        tr = run(toy, cfg, TimeGrid(0.1, 20), toy_x0())
-        assert np.array_equal(tr.x_pred[1:], tr.x_corr[:-1])
+        _, x_pred, x_corr = run_iterates(toy, cfg, TimeGrid(0.1, 20), toy_x0())
+        assert np.array_equal(x_pred[1:], x_corr[:-1])
 
     def test_run_is_deterministic(self):
         p = make_linreg("linreg_static")
         cfg = SolverConfig(algorithm=FOA_MIN, C=3, beta=0.01, zeta=2.5)
         x0 = np.arange(10.0) / 3.0
-        a = run(p, cfg, TimeGrid(0.01, 300), x0)
-        b = run(p, cfg, TimeGrid(0.01, 300), x0)
+        a, a_pred, a_corr = run_iterates(p, cfg, TimeGrid(0.01, 300), x0)
+        b, b_pred, b_corr = run_iterates(p, cfg, TimeGrid(0.01, 300), x0)
         for fa, fb in (
             (a.f_pred, b.f_pred),
             (a.grad_norm, b.grad_norm),
             (a.gap, b.gap),
-            (a.x_pred, b.x_pred),
-            (a.x_corr, b.x_corr),
+            (a.f_corr, b.f_corr),
+            (a_pred, b_pred),
+            (a_corr, b_corr),
         ):
             assert np.array_equal(fa, fb)
 
@@ -322,8 +340,8 @@ class TestRun:
         toy = make_toy()
         for algo, gch in ((FOA_MIN, "plain"), (CP, "extrapolated")):
             cfg = SolverConfig(algorithm=algo, C=1, beta=1.0, zeta=10.0, g_choice=gch)
-            tr = run(toy, cfg, TimeGrid(0.1, 200), toy_x0())
-            moves = np.linalg.norm(tr.x_pred[1:] - tr.x_corr[:-1], axis=1)
+            _, x_pred, x_corr = run_iterates(toy, cfg, TimeGrid(0.1, 200), toy_x0())
+            moves = np.linalg.norm(x_pred[1:] - x_corr[:-1], axis=1)
             assert np.all(moves <= 10.0 * 0.1 + 1e-12)
 
     def test_correction_descent_inequality(self):
@@ -332,18 +350,17 @@ class TestRun:
         L1 = 100.0
         cfg = SolverConfig(algorithm=TVGD, C=1, beta=1 / L1)
         x0 = np.linspace(-1, 1, 10)
-        tr = run(p, cfg, TimeGrid(0.01, 400), x0)
+        tr = run(p, cfg, TimeGrid(0.01, 400), x0, record_f_corr=True)
         for k in range(len(tr)):
-            f_corr = p.value(tr.x_corr[k], tr.t[k])
             bound = tr.f_pred[k] - tr.grad_norm[k] ** 2 / (2 * L1)
-            assert f_corr <= bound + 1e-9 + 1e-9 * abs(bound)
+            assert tr.f_corr[k] <= bound + 1e-9 + 1e-9 * abs(bound)
 
     def test_toy_foa_tracks_without_divergence(self):
         toy = make_toy()
         cfg = SolverConfig(algorithm=FOA_MIN, C=1, beta=1.0, zeta=10.0)
-        tr = run(toy, cfg, TimeGrid(0.1, 1000), toy_x0())
+        tr, x_pred, _ = run_iterates(toy, cfg, TimeGrid(0.1, 1000), toy_x0())
         assert not tr.diverged
-        shifted = tr.x_pred[:, 0] - 10.0 * tr.t
+        shifted = x_pred[:, 0] - 10.0 * tr.t
         assert np.all(np.abs(shifted) < 20.0)
 
     def test_ufopc_gamma1_diverges_on_toy(self):
@@ -368,9 +385,9 @@ class TestRun:
         )
         cfg = SolverConfig(algorithm=FOA_MIN, C=1, beta=1.0, zeta=10.0)
         grid = TimeGrid(0.25, 40)
-        base = run(toy, cfg, grid, toy_x0())
-        moved = run(shifted, cfg, grid, toy_x0() + 10.0 * delta)
-        assert moved.x_pred == pytest.approx(base.x_pred + 10.0 * delta, abs=1e-9)
+        _, base, _ = run_iterates(toy, cfg, grid, toy_x0())
+        _, moved, _ = run_iterates(shifted, cfg, grid, toy_x0() + 10.0 * delta)
+        assert moved == pytest.approx(base + 10.0 * delta, abs=1e-9)
 
     def test_missing_hessian_refused_before_first_step(self):
         ds = synth_ratings(6, 5, 60, 2, 0.1, seed=0)
@@ -407,6 +424,48 @@ class TestRun:
             )
 
 
+class TestCorrectedValue:
+    """``f_corr``, the value at the corrected iterate, recorded on request."""
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SolverConfig(TVGD, C=2, beta=0.01),
+            SolverConfig(UFOPC, C=2, beta=0.01, P=3, alpha=0.01, gamma=0.5),
+            SolverConfig(FOA_MIN, C=2, beta=0.01, zeta=2.5),
+            SolverConfig(CP, C=2, beta=0.01, zeta=2.5, g_choice="extrapolated"),
+        ],
+        ids=lambda c: c.algorithm,
+    )
+    def test_value_at_the_logged_corrected_iterate(self, config):
+        p = make_linreg("linreg_drift")
+        grid = TimeGrid(0.1, 30)
+        tr, x_pred, x_corr = run_iterates(p, config, grid, np.linspace(-2.0, 2.0, 10))
+        assert not tr.diverged
+        for k, t in enumerate(tr.t):
+            assert np.array_equal(x_corr[k], correct(p, x_pred[k], t, config.C, config.beta))
+            assert tr.f_corr[k] == p.value(x_corr[k], t)
+        assert run(p, config, grid, x_pred[0]).f_corr is None
+
+    def test_memory_holds_no_iterate_per_step(self):
+        d, steps = 10_000, 200
+        p = ProblemOracle(
+            dim=d,
+            value=lambda x, t: 0.5 * float((x - t) @ (x - t)),
+            grad_x=lambda x, t: x - t,
+            name="moving_square",
+        )
+        cfg = SolverConfig(FOA_MIN, C=1, beta=0.5, zeta=1.0)
+        tracemalloc.start()
+        try:
+            tr = run(p, cfg, TimeGrid(0.01, steps), np.zeros(d), record_f_corr=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not tr.diverged and np.isfinite(tr.f_corr).all()
+        assert peak < steps * d * 8 / 10
+
+
 def half_square(**pieces):
     """``0.5 x^2`` in one dimension with domain guard 10 and a closed-form
     optimum at zero; ``pieces`` replace oracles to force one divergence."""
@@ -427,40 +486,40 @@ NAN = math.nan
 
 class TestDivergenceCases:
     """Each way a run can diverge, pinned on the trace it leaves: length,
-    step, which of f_pred / grad_norm / gap are NaN, and the x_corr row of
-    the diverged step (the entry itself when the run stops at the entry)."""
+    step, which of f_pred / grad_norm / gap are NaN, and f_corr, which is
+    NaN on the diverged step whether the entry or the correction failed."""
 
     @pytest.mark.parametrize(
-        "problem, config, steps, nan_f, nan_gn, nan_gap, last_x_corr",
+        "problem, config, steps, nan_f, nan_gn, nan_gap, f_corr",
         [
             # the quadratic model's NaN curvature makes the prediction NaN
             (
                 half_square(hess_xx=lambda x, t: np.full((1, 1), NAN)),
                 SolverConfig(UFOPC, C=1, beta=0.5, P=1, alpha=1.0),
-                2, [0, 1], [0, 1], [0, 1], NAN,
+                2, [0, 1], [0, 1], [0, 1], [0.125, NAN],
             ),
             # a prediction of length zeta*h = 100 lands at -99.5
             (
                 half_square(),
                 SolverConfig(FOA_MIN, C=1, beta=0.5, zeta=1000.0),
-                2, [0, 0], [0, 0], [0, 1], -99.5,
+                2, [0, 0], [0, 0], [0, 1], [0.125, NAN],
             ),
             (
                 half_square(value=lambda x, t: NAN if t > 0 else 0.5 * float(x @ x)),
                 SolverConfig(TVGD, C=1, beta=0.5),
-                2, [0, 1], [0, 0], [0, 1], 0.5,
+                2, [0, 1], [0, 0], [0, 1], [0.125, NAN],
             ),
             # the second correction gradient at step 1 (x = 0.125) is NaN
             (
                 half_square(grad_x=lambda x, t: np.where(np.abs(x) < 0.2, NAN, x)),
                 SolverConfig(TVGD, C=2, beta=0.5),
-                2, [0, 0], [0, 0], [0, 0], NAN,
+                2, [0, 0], [0, 0], [0, 0], [0.03125, NAN],
             ),
             # corrections overshoot: 1 -> -2 -> 4 -> -8 -> 16
             (
                 half_square(),
                 SolverConfig(TVGD, C=1, beta=3.0),
-                4, [0] * 4, [0] * 4, [0] * 4, 16.0,
+                4, [0] * 4, [0] * 4, [0] * 4, [2.0, 8.0, 32.0, NAN],
             ),
         ],
         ids=[
@@ -469,15 +528,15 @@ class TestDivergenceCases:
         ],
     )
     def test_trace_at_divergence(
-        self, problem, config, steps, nan_f, nan_gn, nan_gap, last_x_corr
+        self, problem, config, steps, nan_f, nan_gn, nan_gap, f_corr
     ):
-        tr = run(problem, config, TimeGrid(0.1, 10), np.ones(1))
+        tr = run(problem, config, TimeGrid(0.1, 10), np.ones(1), record_f_corr=True)
         assert tr.diverged and tr.diverged_step == steps - 1
-        assert len(tr) == len(tr.x_corr) == len(tr.gap) == steps
+        assert len(tr) == len(tr.f_corr) == len(tr.gap) == steps
         assert np.isnan(tr.f_pred).astype(int).tolist() == nan_f
         assert np.isnan(tr.grad_norm).astype(int).tolist() == nan_gn
         assert np.isnan(tr.gap).astype(int).tolist() == nan_gap
-        assert np.array_equal(tr.x_corr[-1], [last_x_corr], equal_nan=True)
+        assert np.array_equal(tr.f_corr, f_corr, equal_nan=True)
 
 
 class TestOracleBudget:

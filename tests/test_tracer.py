@@ -81,9 +81,9 @@ def test_exact_counts(metrics):
     assert metrics["solvers.run_calls"] == runs
     assert metrics["solvers.steps"] == runs * STEPS
     assert metrics["solvers.diverged_runs"] == 0
-    # run: set-up plus one per solver; check: set-up, the h/2 problem the
-    # ratio reads, and one per prediction-gap run
-    assert metrics["config.build_problem_calls"] == 5 + 8
+    # run: set-up plus one per solver; check: set-up and one per
+    # prediction-gap run
+    assert metrics["config.build_problem_calls"] == 5 + 7
     assert metrics["core.fd_check_calls"] == 6
     # one Hessian per ufopc and cp step, and 8 samples on each of the five
     # problems with one (d = 1 for the toy, 10 for the rest)
