@@ -22,9 +22,9 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .config import (
     resolve_configs,
     resolve_steps,
 )
-from .core import MissingOracleError, ProblemOracle, TimeGrid, finite_difference_check
+from .core import MissingOracleError, ProblemOracle, TimeGrid, finite_difference_check, require
 from .problems import make_linreg, make_mf, make_robust, make_toy
 from .ratings import RatingsDataset, synth_ratings
 from .solvers import CP, FOA_MIN, TVGD, SolverConfig, Trace, require_oracles, run
@@ -117,12 +117,13 @@ class Setup:
     n_jobs: int                            # processes for the solver runs
 
 
-def _setup(config: ExperimentConfig, args, solvers: list[SolverConfig]) -> Setup:
+def _setup(config: ExperimentConfig, args, solvers: list[SolverConfig], oracles=()) -> Setup:
     """Load the dataset once, build the first-period problem and x0.  A
-    solver in ``solvers`` that needs an oracle the problem lacks is refused
-    here, before any run."""
+    missing oracle, one of ``oracles`` or one that a solver in ``solvers``
+    calls, is refused here, before x0 and before any run."""
     dataset = load_dataset(config, args.ratings)
     problem = build_problem(config, dataset, h=config.grid[0][0])
+    require(problem, *oracles)
     for solver in solvers:
         require_oracles(problem, solver)
     x0 = build_x0(config, problem)
@@ -298,30 +299,6 @@ def _diverged(check: str, target: str, trace: Trace, h: float) -> CheckOutcome:
     return CheckOutcome(check, target, False, math.nan, detail)
 
 
-def _require_beta_one_over_l1(check: str, solver: SolverConfig, L1: float) -> None:
-    """Refuse a solver whose correction step is not 1/L1: the bound the
-    check certifies is stated for that step, the one with the most descent."""
-    if abs(solver.beta * L1 - 1.0) > 1e-9:
-        raise ConfigError(
-            f"{check}: {solver.label} has beta = {solver.beta}, but the bound holds "
-            f"for beta = 1/L1 = {1.0 / L1}"
-        )
-
-
-def _pl_envelope_solvers(config: ExperimentConfig) -> list[SolverConfig]:
-    solvers = [s for s in config.solvers if s.algorithm == TVGD]
-    if not solvers:
-        raise ConfigError("pl_envelope needs a [solver ...] section with algorithm = tvgd")
-    constants = config.constants
-    if not constants.mu or constants.L1 is None:
-        raise ConfigError("pl_envelope needs constants mu > 0 and L1 (set keys mu=, L1=)")
-    if not config.has_g2():
-        raise ConfigError("pl_envelope needs constants G2 (set key G2=)")
-    for solver in solvers:
-        _require_beta_one_over_l1("pl_envelope", solver, constants.L1)
-    return solvers
-
-
 def check_pl_envelope(config: ExperimentConfig, setup: Setup, solvers) -> list[CheckOutcome]:
     jobs = [
         RunJob(config, setup.dataset, solver, h, steps, setup.x0, gap=True)
@@ -341,26 +318,6 @@ def check_pl_envelope(config: ExperimentConfig, setup: Setup, solvers) -> list[C
         ok = viol <= analysis.bound_tol(scale)
         outcomes.append(CheckOutcome("pl_envelope", target, ok, viol, f"G2={g2:.3g}"))
     return outcomes
-
-
-def _post_convergence_solvers(config: ExperimentConfig) -> list[SolverConfig]:
-    solvers = [s for s in config.solvers if s.algorithm in (TVGD, FOA_MIN)]
-    if not solvers:
-        raise ConfigError("post_convergence needs a tvgd or foa_min solver section")
-    constants = config.constants
-    for solver in solvers:
-        needed = ("L1", "G2") if solver.algorithm == TVGD else ("L1", "L2", "L3")
-        missing = [
-            key for key in needed
-            if (not config.has_g2() if key == "G2" else getattr(constants, key) is None)
-        ]
-        if missing:
-            raise ConfigError(
-                f"post_convergence on {solver.label} needs constants {', '.join(missing)} "
-                f"(set keys {'=, '.join(missing)}=)"
-            )
-        _require_beta_one_over_l1("post_convergence", solver, constants.L1)
-    return solvers
 
 
 def check_post_convergence(config: ExperimentConfig, setup: Setup, solvers) -> list[CheckOutcome]:
@@ -394,42 +351,30 @@ def check_post_convergence(config: ExperimentConfig, setup: Setup, solvers) -> l
 _RATIO_WINDOWS = {TVGD: (1.6, 2.4), FOA_MIN: (3.0, 5.0), CP: (3.0, 5.0)}
 
 
-def _prediction_gap_solvers(config: ExperimentConfig) -> list[SolverConfig]:
-    solvers = [s for s in config.solvers if s.algorithm in _RATIO_WINDOWS]
-    if not solvers:
-        raise ConfigError("prediction_gap needs a tvgd, foa_min or cp solver section")
-    return solvers
-
-
-def _prediction_gap(config: ExperimentConfig, setup: Setup, solver) -> CheckOutcome:
-    """Run one solver at h and h/2 and compare their largest prediction
-    increases.  The ratio reads predictions only, so no gap is recorded."""
-    h, steps = setup.grid[0]
-    tr_c, tr_f = _execute_all([
-        RunJob(config, setup.dataset, solver, period, steps, setup.x0, gap=False, f_corr=True)
-        for period in (h, h / 2)
-    ], setup.n_jobs)
-    if tr_c.diverged or tr_f.diverged:
-        tr, h_run = (tr_c, h) if tr_c.diverged else (tr_f, h / 2)
-        return _diverged("prediction_gap", solver.label, tr, h_run)
-    rep = analysis.check_prediction_gap(tr_c, tr_f)
-    lo, hi = _RATIO_WINDOWS[solver.algorithm]
-    detail = (
-        f"max increase {rep.increase_coarse:.3e} (h={h:g}) vs "
-        f"{rep.increase_fine:.3e} (h={h/2:g}), window [{lo}, {hi}]"
-    )
-    return CheckOutcome("prediction_gap", solver.label, lo <= rep.ratio <= hi, rep.ratio, detail)
-
-
 def check_prediction_gap(config: ExperimentConfig, setup: Setup, solvers) -> list[CheckOutcome]:
-    # One solver's pair of traces is alive at a time.
-    return [_prediction_gap(config, setup, solver) for solver in solvers]
-
-
-def _lipschitz_optimum_solvers(config: ExperimentConfig) -> list[SolverConfig]:
-    if config.constants.G2 is None:
-        raise ConfigError("lipschitz_optimum needs constant G2 (set key G2=)")
-    return []
+    """Run each solver at h and h/2, one pair at a time, and compare their
+    largest prediction increases.  The ratio reads predictions only, so no
+    gap is recorded."""
+    h, steps = setup.grid[0]
+    outcomes = []
+    for solver in solvers:
+        tr_c, tr_f = _execute_all([
+            RunJob(config, setup.dataset, solver, period, steps, setup.x0, gap=False, f_corr=True)
+            for period in (h, h / 2)
+        ], setup.n_jobs)
+        if tr_c.diverged or tr_f.diverged:
+            tr, h_run = (tr_c, h) if tr_c.diverged else (tr_f, h / 2)
+            outcomes.append(_diverged("prediction_gap", solver.label, tr, h_run))
+            continue
+        rep = analysis.check_prediction_gap(tr_c, tr_f)
+        lo, hi = _RATIO_WINDOWS[solver.algorithm]
+        detail = (
+            f"max increase {rep.increase_coarse:.3e} (h={h:g}) vs "
+            f"{rep.increase_fine:.3e} (h={h/2:g}), window [{lo}, {hi}]"
+        )
+        ok = lo <= rep.ratio <= hi
+        outcomes.append(CheckOutcome("prediction_gap", solver.label, ok, rep.ratio, detail))
+    return outcomes
 
 
 def check_lipschitz_optimum(config: ExperimentConfig, setup: Setup, solvers) -> list[CheckOutcome]:
@@ -446,35 +391,88 @@ def check_ratio_bound(config: ExperimentConfig, setup, solvers) -> list[CheckOut
     return [CheckOutcome("ratio_bound", f"{config.trials} trials", ok, worst)]
 
 
-# name -> (select, check).  select(config) returns the solvers the check runs
-# or refuses the config; check(config, setup, solvers) measures.  gradients
-# and ratio_bound run on their own fixed inputs and get no set-up.
-_CHECKS = {
-    "gradients": (lambda config: [], check_gradients),
-    "ratio_bound": (lambda config: [], check_ratio_bound),
-    "lipschitz_optimum": (_lipschitz_optimum_solvers, check_lipschitz_optimum),
-    "pl_envelope": (_pl_envelope_solvers, check_pl_envelope),
-    "post_convergence": (_post_convergence_solvers, check_post_convergence),
-    "prediction_gap": (_prediction_gap_solvers, check_prediction_gap),
+@dataclass(frozen=True)
+class Check:
+    """One row of the check table.  A check runs every configured solver of
+    an algorithm in ``solvers`` and needs one; ``cmd_check`` refuses a
+    config that lacks anything a planned row needs before any run."""
+
+    measure: Callable            # (config, setup, solvers) -> list of CheckOutcome
+    solvers: dict = field(default_factory=dict)  # algorithm -> constants its bound reads
+    constants: tuple = ()        # read as set in the config: a G2 rule does not count
+    beta_rule: bool = False      # the bound holds for beta = 1/L1 only, so L1 is read
+    oracles: tuple = ()          # problem oracles read besides the solvers' own
+    min_steps: int = 1           # the fewest steps of the first period
+    setup: bool = True           # False: runs on fixed inputs of its own
+
+
+CHECKS = {
+    "gradients": Check(check_gradients, setup=False),
+    "lipschitz_optimum": Check(check_lipschitz_optimum, constants=("G2",), oracles=("optimum",)),
+    "pl_envelope": Check(
+        check_pl_envelope, {TVGD: ("mu", "L1", "G2")}, beta_rule=True, oracles=("optimum",)
+    ),
+    "post_convergence": Check(
+        check_post_convergence, {TVGD: ("L1", "G2"), FOA_MIN: ("L1", "L2", "L3")},
+        beta_rule=True, oracles=("optimum",),
+    ),
+    "prediction_gap": Check(check_prediction_gap, dict.fromkeys(_RATIO_WINDOWS, ()), min_steps=2),
+    "ratio_bound": Check(check_ratio_bound, setup=False),
 }
+
+
+def _require_constants(config: ExperimentConfig, who: str, keys, g2_rule=True) -> None:
+    """Refuse the config unless it sets every constant in ``keys``; with
+    ``g2_rule`` the problem's rule for G2 stands in for a set G2."""
+    constants = config.constants
+    missing = [
+        key for key in keys
+        if (not config.has_g2() if key == "G2" and g2_rule else getattr(constants, key) is None)
+    ]
+    if missing:
+        keys = "=, ".join(missing)
+        raise ConfigError(f"{who} needs constants {', '.join(missing)} (set {keys}=)")
+
+
+def _select(name: str, row: Check, config: ExperimentConfig) -> list[SolverConfig]:
+    """The solvers check ``name`` runs; a config it cannot run on is refused."""
+    _require_constants(config, name, row.constants, g2_rule=False)
+    solvers = [s for s in config.solvers if s.algorithm in row.solvers]
+    if row.solvers and not solvers:
+        raise ConfigError(
+            f"{name} needs a [solver ...] section with algorithm = {' or '.join(row.solvers)}"
+        )
+    L1 = config.constants.L1
+    for solver in solvers:
+        _require_constants(config, f"{name} on {solver.label}", row.solvers[solver.algorithm])
+        if row.beta_rule and abs(solver.beta * L1 - 1.0) > 1e-9:
+            raise ConfigError(
+                f"{name}: {solver.label} has beta = {solver.beta}, but the bound holds "
+                f"for beta = 1/L1 = {1.0 / L1}"
+            )
+    return solvers
 
 
 def cmd_check(config: ExperimentConfig, args, multi: bool) -> int:
     if not config.checks:
         raise ConfigError("check command needs a 'checks = ...' key in [experiment]")
     # Every configuration a check refuses is refused before any solver runs.
-    plan = [(check, select(config)) for select, check in map(_CHECKS.get, config.checks)]
-    needs_setup = set(config.checks) - {"gradients", "ratio_bound"}
-    planned = [solver for _, solvers in plan for solver in solvers]
-    setup = _setup(config, args, planned) if needs_setup else None
-    if "prediction_gap" in config.checks and setup.grid[0][1] < 2:
-        raise ConfigError(
-            f"prediction_gap needs at least 2 steps at h = {setup.grid[0][0]:g}, "
-            f"got {setup.grid[0][1]}"
-        )
+    rows = [(name, CHECKS[name]) for name in config.checks]
+    plan = [_select(name, row, config) for name, row in rows]
+    setup = None
+    if any(row.setup for _, row in rows):
+        planned = [solver for solvers in plan for solver in solvers]
+        oracles = sorted({oracle for _, row in rows for oracle in row.oracles})
+        setup = _setup(config, args, planned, oracles)
+        h, steps = setup.grid[0]
+        for name, row in rows:
+            if steps < row.min_steps:
+                raise ConfigError(
+                    f"{name} needs at least {row.min_steps} steps at h = {h:g}, got {steps}"
+                )
     outcomes: list[CheckOutcome] = []
-    for check, solvers in plan:
-        outcomes += check(config, setup, solvers)
+    for (_, row), solvers in zip(rows, plan):
+        outcomes += row.measure(config, setup, solvers)
 
     out = _out_dir(config, args, multi)
     lines = [CHECKS_HEADER]

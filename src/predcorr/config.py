@@ -195,8 +195,9 @@ def parse_config(path_or_text, is_text: bool = False, source: str = "") -> Exper
     def num(key, default, cast=float, low=None, strict=False):
         return _number(key, exp.get(key, default), cast, low, strict)
 
+    # The bounds divide by L1 and mu.
     overrides = {
-        key: _number(key, exp[key], low=0)
+        key: _number(key, exp[key], low=0, strict=key in ("L1", "mu"))
         for key in ("L1", "L2", "L3", "G2", "mu")
         if key in exp
     }

@@ -219,17 +219,28 @@ class TestMalformedNumbers:
             ("run", "mf_file", "", "", "malformed", "bad.csv:2"),
             ("run", "mf_file", "", "", "directory", "directory"),
             ("run", "mf_synth", "warm_beta = 5", "warm_beta = 1e6", None, "warm start diverged"),
-            ("check", "envelope", "seed = 0", "seed = 0\nmu = 0\nG2 = 1", None, "mu > 0"),
+            ("check", "envelope", "seed = 0", "seed = 0\nmu = 0\nG2 = 1", None,
+             "mu must be a finite number > 0"),
             ("check", "mf_synth", "seed = 0", "seed = 0\nchecks = lipschitz_optimum\nG2 = 1",
              None, "optimum"),
             ("check", "toy", "seed = 0\n\n[solver foa_min]\nalgorithm = foa_min",
              "seed = 0\nchecks = prediction_gap\n\n[solver foa_min]\nalgorithm = ufopc",
              None, "prediction_gap needs"),
+            # the bounds and the step rule beta = 1/L1 divide by L1
+            ("check", "toy", "seed = 0\n\n[solver foa_min]\nalgorithm = foa_min",
+             "seed = 0\nchecks = post_convergence\nG2 = 12\nL1 = 0\n\n"
+             "[solver tvgd]\nalgorithm = tvgd",
+             None, "L1 must be a finite number > 0"),
+            ("run", "toy", "seed = 0", "seed = 0\nchecks = gradient", None,
+             "unknown check 'gradient'"),
+            ("check", "toy", "seed = 0", "seed = 0\nchecks = gradient", None,
+             "unknown check 'gradient'"),
         ],
         ids=[
             "mf_latent_dim", "synth_users", "trials", "negative_mu", "mu_above_L1",
             "malformed_ratings_line", "ratings_directory", "diverging_warm_start",
             "pl_envelope_zero_mu", "mf_lipschitz_optimum", "prediction_gap_no_solver",
+            "post_convergence_zero_L1", "run_unknown_check", "check_unknown_check",
         ],
     )
     def test_range_and_input_errors(self, tmp_path, capsys, verb, base, old, new, ratings, key):
@@ -832,6 +843,25 @@ class TestRefusedBeforeAnyRun:
         rows = (out / "checks.csv").read_text().splitlines()[1:]
         assert [r.split(",")[1] for r in rows] == ["tvgd"]
 
+    @pytest.mark.parametrize("checks", [
+        "prediction_gap, pl_envelope",
+        "prediction_gap, post_convergence",
+        "prediction_gap, lipschitz_optimum",
+    ])
+    def test_missing_optimum(self, tmp_path, capsys, monkeypatch, checks):
+        # every constant is set and tvgd takes the step 1/L1, so only the
+        # optimum the later check reads is missing
+        starts = []
+        build_x0 = predcorr.cli.build_x0
+        monkeypatch.setattr(
+            predcorr.cli, "build_x0", lambda *a: starts.append(a) or build_x0(*a)
+        )
+        constants = "L1 = 0.2\nmu = 0.1\nG2 = 1\nL2 = 1\nL3 = 1"
+        text = MF_SYNTH_RUN.replace("compute_gap = never", f"checks = {checks}\n{constants}")
+        err = self.refused(tmp_path, capsys, monkeypatch, "check", text)
+        assert err == "error: problem 'mf' does not provide: optimum"
+        assert starts == []   # refused before the warm start too
+
     @pytest.mark.parametrize("problem", ["toy", "mf_synth"])
     def test_prediction_gap_needs_two_steps(self, tmp_path, capsys, monkeypatch, problem):
         if problem == "toy":
@@ -843,6 +873,16 @@ class TestRefusedBeforeAnyRun:
             ).replace("compute_gap = never", "compute_gap = never\nchecks = prediction_gap")
         err = self.refused(tmp_path, capsys, monkeypatch, "check", text)
         assert err.startswith("error: prediction_gap needs at least 2 steps") and err.endswith("got 1")
+
+
+class TestCheckTable:
+    def test_names_match_the_parse_time_list(self):
+        assert tuple(predcorr.cli.CHECKS) == predcorr.config.CHECK_NAMES
+
+    def test_beta_rule_rows_need_l1_for_every_algorithm(self):
+        for row in predcorr.cli.CHECKS.values():
+            if row.beta_rule:
+                assert row.solvers and all("L1" in keys for keys in row.solvers.values())
 
 
 # One numeric key replaced by a token from a fixed set.  The set holds no
