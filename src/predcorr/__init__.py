@@ -19,7 +19,6 @@ from .solvers import (
     FOA_MIN,
     TVGD,
     UFOPC,
-    DivergenceError,
     SolverConfig,
     Trace,
     correct,

@@ -141,6 +141,9 @@ def check_seed(key: str, seed: int) -> int:
 
 def _parse_grid(h_text: str, steps_text: str) -> list[tuple[float, object]]:
     hs = [_number("h", v, low=0, strict=True) for v in h_text.split(",") if v.strip()]
+    for i, h in enumerate(hs):
+        if h in hs[:i]:
+            raise ConfigError(f"h lists {h!r} more than once")
     steps_items = [s.strip() for s in steps_text.split(",") if s.strip() != ""]
     if len(hs) != len(steps_items):
         raise ConfigError(f"h lists {len(hs)} values but steps lists {len(steps_items)}")
@@ -156,16 +159,22 @@ def parse_config(path_or_text, is_text: bool = False, source: str = "") -> Exper
         delimiters=("=",), comment_prefixes=("#",), inline_comment_prefixes=("#",)
     )
     parser.optionxform = str  # keys are case-sensitive
-    if is_text:
-        parser.read_string(path_or_text)
-    else:
+    if not is_text:
         source = source or str(path_or_text)
-        with open(path_or_text, "r", encoding="utf-8") as fh:
-            parser.read_file(fh)
+    try:
+        if is_text:
+            parser.read_string(path_or_text)
+        else:
+            with open(path_or_text, "r", encoding="utf-8") as fh:
+                parser.read_file(fh)
+        sections = {name: dict(parser[name]) for name in parser.sections()}
+    except (configparser.Error, UnicodeDecodeError, OSError) as exc:
+        message = " ".join(str(exc).split())  # some of these span several lines
+        raise ConfigError(f"cannot read config {source or 'text'}: {message}") from None
 
-    if "experiment" not in parser:
+    if "experiment" not in sections:
         raise ConfigError("missing [experiment] section")
-    exp = parser["experiment"]
+    exp = sections["experiment"]
     for key in exp:
         if key not in _EXPERIMENT_KEYS:
             raise ConfigError(f"unknown key {key!r} in [experiment]")
@@ -229,7 +238,7 @@ def parse_config(path_or_text, is_text: bool = False, source: str = "") -> Exper
         )
 
     solvers = []
-    for section in parser.sections():
+    for section, raw in sections.items():
         if section == "experiment":
             continue
         if not section.startswith("solver "):
@@ -237,7 +246,6 @@ def parse_config(path_or_text, is_text: bool = False, source: str = "") -> Exper
                 f"unknown section [{section}]; expected [experiment] or [solver <name>]"
             )
         name = section[len("solver "):].strip()
-        raw = parser[section]
         for key in raw:
             if key not in _SOLVER_KEYS:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
@@ -253,9 +261,12 @@ def parse_config(path_or_text, is_text: bool = False, source: str = "") -> Exper
             if key in raw:
                 kwargs[key] = _number(f"[{section}] {key}", raw[key], cast)
         try:
-            solvers.append(SolverConfig(**kwargs))
+            solver = SolverConfig(**kwargs)
         except ValueError as exc:
             raise ConfigError(f"[{section}]: {exc}") from None
+        if any(s.label == solver.label for s in solvers):
+            raise ConfigError(f"[{section}]: a solver is already labelled {solver.label!r}")
+        solvers.append(solver)
 
     return ExperimentConfig(
         problem=problem,

@@ -8,6 +8,7 @@ gradient, and optional higher-order oracles behind plain callables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -72,13 +73,13 @@ class ProblemOracle:
         a problem with several local minima may use the hint to choose
         the one it reports.
 
-    Iterates whose norm exceeds ``domain_guard`` are declared diverged by
-    the solver loop; problems that leave it unset get the run-time default
-    ``1e8 * (1 + ||x0||)``.  Oracles are pure functions of (x, t); instances
-    are immutable and safe to share between concurrent runs.  An instance
-    may memoize its pieces that do not depend on x for its most recent
-    keys; that never changes a result, and returned arrays stay the
-    caller's to modify.
+    Iterates whose norm exceeds ``domain_guard`` (a finite number > 0) are
+    declared diverged by the solver loop; problems that leave it unset get
+    the run-time default ``1e8 * (1 + ||x0||)``.  Oracles are pure functions
+    of (x, t); instances are immutable and safe to share between concurrent
+    runs.  An instance may memoize its pieces that do not depend on x for
+    its most recent keys; that never changes a result, and returned arrays
+    stay the caller's to modify.
     """
 
     dim: int
@@ -93,6 +94,8 @@ class ProblemOracle:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        if self.domain_guard is not None and not 0 < self.domain_guard < math.inf:
+            raise ValueError("domain_guard must be a finite number > 0")
 
 
 @dataclass(frozen=True)

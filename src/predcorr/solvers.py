@@ -34,10 +34,6 @@ G_EXTRAPOLATED = "extrapolated"
 G_CHOICES = (G_PLAIN, G_EXTRAPOLATED)
 
 
-class DivergenceError(RuntimeError):
-    """An iterate left the domain guard or became non-finite."""
-
-
 def _norm(v: Array) -> float:
     """Euclidean norm of a 1-D float vector, bit-identical to
     ``np.linalg.norm(v)`` (which computes ``sqrt(v.dot(v))``) but cheaper."""
@@ -141,17 +137,18 @@ def correct(
     iterate, except that ``grad``, when given, must be ``grad_x(x, t)`` at
     the starting point and is used for the first step instead of evaluating
     it again (the solver loop has already computed it for the trace).
-    Raises :class:`DivergenceError` if any coordinate becomes non-finite.
+    An iterate with a non-finite coordinate is returned before any oracle
+    sees it.  The returned point is not scanned: ``run``'s guard test is.
     """
     if C < 0:
         raise ValueError("C must be >= 0")
-    for _ in range(C):
-        if grad is None:
-            grad = problem.grad_x(x, t)
-        x = x - beta * grad
-        grad = None
+    if C == 0:
+        return x
+    x = x - beta * (problem.grad_x(x, t) if grad is None else grad)
+    for _ in range(C - 1):
         if not np.isfinite(x).all():
-            raise DivergenceError("correction produced a non-finite iterate")
+            break
+        x = x - beta * problem.grad_x(x, t)
     return x
 
 
@@ -277,16 +274,19 @@ def run(
         record ``f(corrected; t_k)`` per step, one extra value call each.
 
     The run stops early, with the diverged flag set, at one of two checks
-    per step.  After the entry evaluation: the entering iterate is
-    non-finite or outside the domain guard, or its value or gradient norm is
-    non-finite.  After the correction: the corrected point is non-finite or
-    outside the guard.  A missing Hessian for ufopc or cp raises
-    :class:`MissingOracleError` before the first step.
+    per step.  At entry: the entering iterate is outside the domain guard,
+    or its value or gradient norm is non-finite.  After the correction: the
+    corrected point is outside the guard.  The guard is finite, so any NaN
+    or infinite coordinate fails it.  Before the first step, a missing
+    Hessian for ufopc or cp raises :class:`MissingOracleError`, and a
+    non-finite x0 or one of the wrong shape raises ``ValueError``.
     """
     require_oracles(problem, config)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({problem.dim},)")
+    if not np.isfinite(x0).all():
+        raise ValueError("x0 must be finite")
 
     if compute_gap is None:
         want_gap = problem.optimum is not None
@@ -309,7 +309,7 @@ def run(
     h = grid.h
     guard = problem.domain_guard
     if guard is None:
-        guard = 1e8 * (1.0 + _norm(x0))
+        guard = min(1e8 * (1.0 + _norm(x0)), np.finfo(float).max)
     perf = time.perf_counter
 
     x_in = x0.copy()
@@ -317,18 +317,19 @@ def run(
     for k in range(n):
         t = grid.t(k)
         t_arr[k] = t
-        inside = np.isfinite(x_in).all() and _norm(x_in) <= guard
-        if inside:
-            f_arr[k] = problem.value(x_in, t)
-            g_in = problem.grad_x(x_in, t)
-            gn_arr[k] = _norm(g_in)
-        elif np.isfinite(x_in).all():
-            with np.errstate(all="ignore"):
-                f_arr[k] = problem.value(x_in, t)
-                gn_arr[k] = _norm(problem.grad_x(x_in, t))
-        else:
-            f_arr[k] = gn_arr[k] = np.nan
-        if not (inside and np.isfinite(f_arr[k]) and np.isfinite(gn_arr[k])):
+        if not _norm(x_in) <= guard:
+            if np.isfinite(x_in).all():
+                with np.errstate(all="ignore"):
+                    f_arr[k] = problem.value(x_in, t)
+                    gn_arr[k] = _norm(problem.grad_x(x_in, t))
+            else:
+                f_arr[k] = gn_arr[k] = np.nan
+            diverged_at = k
+            break
+        f = f_arr[k] = problem.value(x_in, t)
+        g_in = problem.grad_x(x_in, t)
+        gn = gn_arr[k] = _norm(g_in)
+        if not (math.isfinite(f) and math.isfinite(gn)):
             diverged_at = k
             break
         if gap_arr is not None:
@@ -336,10 +337,7 @@ def run(
             gap_arr[k] = f_arr[k] - f_star
 
         t0 = perf()
-        try:
-            x_c = correct(problem, x_in, t, config.C, config.beta, grad=g_in)
-        except DivergenceError:
-            x_c = np.full(problem.dim, np.nan)
+        x_c = correct(problem, x_in, t, config.C, config.beta, grad=g_in)
         corr_s[k] = perf() - t0
         if not _norm(x_c) <= guard:
             diverged_at = k

@@ -199,14 +199,31 @@ class TestMalformedNumbers:
             ("delta = 1e-10", "delta = inf", "delta"),
             ("seed = 0", "seed = 0\ncompute_gap = always",
              "compute_gap must be auto or never, got 'always'"),
+            # files configparser or the decoder cannot read
+            ("delta = 1e-10", "delta = 1e-10\n[solver foa_min]\nalgorithm = tvgd",
+             "section 'solver foa_min' already exists"),
+            ("h = 0.1", "h = 0.1\nh = 0.2", "option 'h' in section 'experiment'"),
+            ("[experiment]\n", "", "no section headers"),
+            ("seed = 0", "seed = 0\ngarbage", "parsing errors"),
+            ("seed = 0", "seed = 0\n# \xff", "can't decode byte 0xff"),
+            ("seed = 0", "seed = 0\nout = 50%", "'%' must be followed"),
+            # two runs would write one <label>.csv
+            ("delta = 1e-10", "delta = 1e-10\n[solver  foa_min]\nalgorithm = tvgd",
+             "a solver is already labelled 'foa_min'"),
+            ("delta = 1e-10", "delta = 1e-10\n[solver ]\nalgorithm = foa_min",
+             "a solver is already labelled 'foa_min'"),
+            ("h = 0.1\nsteps = 50", "h = 0.1, 0.1, 0.05\nsteps = 50, 50, 50",
+             "h lists 0.1 more than once"),
         ],
     )
     def test_exit_1_with_one_error_line(self, tmp_path, capsys, old, new, key):
-        cfg = write_config(tmp_path, TOY_RUN.replace(old, new))
-        code = main(["run", "--config", cfg, "--out", str(tmp_path / "out")])
+        cfg = tmp_path / "exp.ini"
+        cfg.write_bytes(TOY_RUN.replace(old, new).encode("latin-1"))  # "\xff" is one byte
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
         err = capsys.readouterr().err.strip().split("\n")
         assert code == EXIT_USAGE
         assert len(err) == 1 and err[0].startswith("error:") and key in err[0]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "verb, base, old, new, ratings, key",

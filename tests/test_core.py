@@ -6,6 +6,7 @@ import pytest
 
 from predcorr import (
     ProblemConstants,
+    ProblemOracle,
     TimeGrid,
     finite_difference_check,
     make_linreg,
@@ -54,6 +55,18 @@ class TestProblemConstants:
     def test_negative_constant_rejected(self):
         with pytest.raises(ValueError):
             ProblemConstants(L2=-1.0)
+
+
+class TestProblemOracle:
+    @pytest.mark.parametrize("guard", [math.inf, math.nan, 0.0, -1.0])
+    def test_domain_guard_must_be_finite_and_positive(self, guard):
+        with pytest.raises(ValueError, match="domain_guard"):
+            ProblemOracle(
+                dim=1,
+                value=lambda x, t: 0.5 * float(x @ x),
+                grad_x=lambda x, t: x.copy(),
+                domain_guard=guard,
+            )
 
 
 class TestFiniteDifferenceCheck:

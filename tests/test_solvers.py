@@ -12,7 +12,6 @@ from predcorr import (
     FOA_MIN,
     TVGD,
     UFOPC,
-    DivergenceError,
     MissingOracleError,
     ProblemOracle,
     SolverConfig,
@@ -120,16 +119,19 @@ class TestCorrect:
         assert calls == [1]
         assert np.array_equal(out, correct(p, x, 0.3, C=2, beta=0.01))
 
-    def test_nonfinite_raises(self):
+    def test_nonfinite_iterate_is_returned_unevaluated(self):
         def value(x, t):
             return 1e200 * float(x[0] ** 4)
 
         def grad_x(x, t):
             return 4e200 * x**3
 
-        p = ProblemOracle(dim=1, value=value, grad_x=grad_x, name="steep")
-        with np.errstate(over="ignore"), pytest.raises(DivergenceError):
-            correct(p, np.array([10.0]), 0.0, C=3, beta=1.0)
+        p, calls = counting_grad(ProblemOracle(dim=1, value=value, grad_x=grad_x, name="steep"))
+        with np.errstate(over="ignore"):
+            out = correct(p, np.array([10.0]), 0.0, C=3, beta=1.0)
+        # 10 -> -4e203 -> inf; a third gradient would be taken at inf
+        assert not np.isfinite(out).all()
+        assert calls == [2]
 
 
 class TestPredictFoaMin:
@@ -422,6 +424,29 @@ class TestRun:
                 TimeGrid(0.1, 2),
                 np.zeros(3),
             )
+
+    @pytest.mark.parametrize("problem", [make_linreg("linreg_static"), make_toy()],
+                             ids=["unguarded", "guarded"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_x0_rejected(self, problem, bad):
+        x0 = np.zeros(problem.dim)
+        x0[-1] = bad
+        with pytest.raises(ValueError, match="x0 must be finite"):
+            run(problem, SolverConfig(algorithm=TVGD), TimeGrid(0.1, 2), x0)
+
+    def test_default_guard_stays_finite_for_a_huge_x0(self):
+        """||x0||^2 overflows, so the default guard 1e8 (1 + ||x0||) would be
+        inf; it is capped, and x0 fails it although every oracle is finite."""
+        p = ProblemOracle(
+            dim=2,
+            value=lambda x, t: float(np.abs(x).sum()),
+            grad_x=lambda x, t: np.sign(x),
+            name="abs",
+        )
+        with np.errstate(over="ignore"):
+            tr = run(p, SolverConfig(algorithm=TVGD), TimeGrid(0.1, 3), np.full(2, 1e200))
+        assert tr.diverged and tr.diverged_step == 0
+        assert tr.f_pred.tolist() == [2e200] and tr.grad_norm.tolist() == [math.sqrt(2)]
 
 
 class TestCorrectedValue:
