@@ -435,12 +435,18 @@ def build_x0(config: ExperimentConfig, problem: ProblemOracle) -> np.ndarray:
             raise ConfigError(f"x0 = {spec}: {exc}") from None
         return x0
     values = [_number("x0", v) for v in spec.split(",") if v.strip()]
-    if not all(map(math.isfinite, values)):
-        raise ConfigError(f"x0 components must be finite numbers, got {spec!r}")
     if len(values) == 1 and problem.dim > 1:
-        return np.full(problem.dim, values[0])
-    if len(values) != problem.dim:
+        x0 = np.full(problem.dim, values[0])
+    elif len(values) != problem.dim:
         raise ConfigError(
             f"x0 has {len(values)} components but the problem dimension is {problem.dim}"
         )
-    return np.asarray(values, dtype=float)
+    else:
+        x0 = np.asarray(values, dtype=float)
+    # a NaN, an infinity or an overflowing norm; the solver loop refuses
+    # the same points
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(x0)
+    if not math.isfinite(norm):
+        raise ConfigError(f"x0 must be finite, with a finite norm, got {spec!r}")
+    return x0

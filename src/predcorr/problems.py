@@ -99,10 +99,6 @@ def make_toy() -> ProblemOracle:
         u = x[0] - 10.0 * t
         return np.array([u / 10.0 + np.cos(u)])
 
-    def grad_t(x, t):
-        u = x[0] - 10.0 * t
-        return -u - 10.0 * np.cos(u)
-
     def hess_xx(x, t):
         u = x[0] - 10.0 * t
         return np.array([[0.1 - np.sin(u)]])
@@ -116,7 +112,6 @@ def make_toy() -> ProblemOracle:
         dim=1,
         value=value,
         grad_x=grad_x,
-        grad_t=grad_t,
         hess_xx=hess_xx,
         optimum=optimum,
         domain_guard=1e8,
@@ -199,24 +194,13 @@ def _diag_regression(
         def diag(t):
             s, c = np.sin(t / 200.0), np.cos(t / 200.0)
             return base * (1.0 + 0.05 * (c * _COSP - s * _SINP))
-
-        def diag_dot(t):
-            s, c = np.sin(t / 200.0), np.cos(t / 200.0)
-            return base * (-0.05 / 200.0) * (s * _COSP + c * _SINP)
     else:
         def diag(t):
             return base
 
-        def diag_dot(t):
-            return np.zeros(10)
-
     def b(t):
         s, c = np.sin(t / 100.0), np.cos(t / 100.0)
         return amplitude * (s * _COSP + c * _SINP)
-
-    def bdot(t):
-        s, c = np.sin(t / 100.0), np.cos(t / 100.0)
-        return amplitude / 100.0 * (c * _COSP - s * _SINP)
 
     frame = _memo(lambda t: (diag(t), b(t)))
 
@@ -227,10 +211,6 @@ def _diag_regression(
     def grad_x(x, t):
         a, bt = frame(t)
         return d1(a * x - bt) * a
-
-    def grad_t(x, t):
-        a, bt = frame(t)
-        return float(d1(a * x - bt) @ (diag_dot(t) * x - bdot(t)))
 
     def hess_xx(x, t):
         a, bt = frame(t)
@@ -244,7 +224,6 @@ def _diag_regression(
         dim=10,
         value=value,
         grad_x=grad_x,
-        grad_t=grad_t,
         hess_xx=hess_xx,
         optimum=optimum,
         domain_guard=None if squared else 1e4,
@@ -361,9 +340,8 @@ def make_mf(
     most recent prefix length is memoized.
     The objective averages squared error plus ``reg * (||P_u||^2 +
     ||Q_i||^2)`` over revealed pairs.  Only value and spatial gradient are
-    available: the time axis is a discrete reveal schedule, so there is no
-    time derivative, and the Hessian is not offered at this scale.
-    Requesting it raises through the solver's oracle check.
+    available: the Hessian is not offered at this scale.  Requesting it
+    raises through the solver's oracle check.
 
     The decision vector concatenates the user-factor matrix (latent_dim x
     n_users) and the item-factor matrix (latent_dim x n_items), both

@@ -278,15 +278,18 @@ def run(
     or its value or gradient norm is non-finite.  After the correction: the
     corrected point is outside the guard.  The guard is finite, so any NaN
     or infinite coordinate fails it.  Before the first step, a missing
-    Hessian for ufopc or cp raises :class:`MissingOracleError`, and a
-    non-finite x0 or one of the wrong shape raises ``ValueError``.
+    Hessian for ufopc or cp raises :class:`MissingOracleError`, and an x0
+    of the wrong shape or without a finite norm raises ``ValueError``.
     """
     require_oracles(problem, config)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({problem.dim},)")
-    if not np.isfinite(x0).all():
-        raise ValueError("x0 must be finite")
+    # An overflowing norm is the refusal below, so numpy's warning is silenced.
+    with np.errstate(over="ignore"):
+        x0_norm = _norm(x0)
+    if not math.isfinite(x0_norm):
+        raise ValueError("x0 must be finite, with a finite norm")
 
     if compute_gap is None:
         want_gap = problem.optimum is not None
@@ -309,7 +312,7 @@ def run(
     h = grid.h
     guard = problem.domain_guard
     if guard is None:
-        guard = min(1e8 * (1.0 + _norm(x0)), np.finfo(float).max)
+        guard = 1e8 * (1.0 + x0_norm)
     perf = time.perf_counter
 
     x_in = x0.copy()

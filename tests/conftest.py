@@ -23,7 +23,6 @@ def diag_quadratic(diag, target=None):
         dim=len(d),
         value=value,
         grad_x=grad_x,
-        grad_t=lambda x, t: 0.0,
         hess_xx=lambda x, t: np.diag(d),
         optimum=optimum,
         name="diag_quadratic",

@@ -315,8 +315,6 @@ def test_criterion_8_oracle_integrity():
     for p in problems:
         rep = finite_difference_check(p, samples=10, seed=3)
         p_ok = rep.grad_x_max_rel < 1e-6
-        if rep.grad_t_max_rel is not None:
-            p_ok &= rep.grad_t_max_rel < 1e-6
         if rep.hess_xx_max_rel is not None:
             p_ok &= rep.hess_xx_max_rel < 1e-4
         ok &= p_ok

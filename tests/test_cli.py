@@ -194,6 +194,8 @@ class TestMalformedNumbers:
             ("beta = 1.0", "beta = fast", "beta"),
             ("x0 = 8.0", "x0 = abc", "x0"),
             ("x0 = 8.0", "x0 = nan", "x0"),
+            # finite, but its norm overflows
+            ("x0 = 8.0", "x0 = 1e200", "x0 must be finite"),
             ("beta = 1.0", "beta = inf", "beta"),
             ("zeta = 10", "zeta = inf", "zeta"),
             ("delta = 1e-10", "delta = inf", "delta"),

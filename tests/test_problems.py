@@ -56,7 +56,7 @@ MEMO_PROBLEMS = {
 
 def oracle_outputs(p, x, t):
     """Every present oracle's result at (x, t), the optimum included."""
-    out = [f(x, t) for f in (p.value, p.grad_x, p.grad_t, p.hess_xx) if f is not None]
+    out = [f(x, t) for f in (p.value, p.grad_x, p.hess_xx) if f is not None]
     if p.optimum is not None:
         out += list(p.optimum(t, x))
     return out
@@ -129,14 +129,17 @@ class TestToy:
         assert h < 0
 
     def test_time_derivative_is_minus_ten_gradients(self):
+        # central difference of the value in t
         toy = make_toy()
         for x, t in ((np.array([3.2]), 0.7), (np.array([-11.0]), 2.5)):
-            assert toy.grad_t(x, t) == pytest.approx(-10.0 * toy.grad_x(x, t)[0], rel=1e-13)
+            s = 1e-5 * (1.0 + t)
+            ft = (toy.value(x, t + s) - toy.value(x, t - s)) / (2 * s)
+            g = toy.grad_x(x, t)[0]
+            assert abs(ft + 10.0 * g) <= 1e-6 * (1.0 + abs(g))
 
     def test_finite_differences(self):
         rep = finite_difference_check(make_toy(), samples=15, seed=2, x_scale=5.0)
         assert rep.grad_x_max_rel < 1e-6
-        assert rep.grad_t_max_rel < 1e-6
         assert rep.hess_xx_max_rel < 1e-4
 
     def test_basin_table_holds_every_stationary_point(self):
@@ -204,7 +207,6 @@ class TestLinreg:
     def test_finite_differences(self, variant):
         rep = finite_difference_check(make_linreg(variant), samples=10, seed=5)
         assert rep.grad_x_max_rel < 1e-6
-        assert rep.grad_t_max_rel < 1e-6
         assert rep.hess_xx_max_rel < 1e-4
 
     def test_drift_variant_moves_diagonal(self):
@@ -217,14 +219,17 @@ class TestLinreg:
         c = linreg_static_constants()
         assert c.L1 == 100.0 and c.mu == 0.01
         assert c.rho == pytest.approx(1 - 1e-4)
-        # the time derivative at x is bounded by ||Ax - b|| * ||b'||
+        # the time derivative at x, a central difference of the value in t,
+        # is bounded by ||Ax - b|| * ||b'||; the slack covers the difference
         p = make_linreg("linreg_static")
         rng = np.random.default_rng(3)
         for _ in range(50):
             x = rng.normal(size=10) * 3
             t = rng.uniform(0, 400)
+            s = 1e-5 * (1.0 + t)
+            ft = (p.value(x, t + s) - p.value(x, t - s)) / (2 * s)
             ax = np.linalg.norm(np.where(np.arange(1, 11) <= 5, 0.1, 10.0) * x)
-            assert abs(p.grad_t(x, t)) <= linreg_g2_bound(ax) + 1e-12
+            assert abs(ft) <= linreg_g2_bound(ax) * (1.0 + 1e-6)
 
 
 class TestClosedFormOptimum:
@@ -278,7 +283,6 @@ class TestRobust:
     def test_finite_differences(self, loss):
         rep = finite_difference_check(make_robust(loss), samples=10, seed=1)
         assert rep.grad_x_max_rel < 1e-6
-        assert rep.grad_t_max_rel < 1e-6
         assert rep.hess_xx_max_rel < 1e-4
 
     def test_constants(self):
@@ -352,7 +356,7 @@ class TestMatrixFactorization:
         p = make_mf(ds, latent_dim=3, reg=0.05, reveal_per_step=10, initial_revealed=60)
         rep = finite_difference_check(p, samples=4, seed=4)
         assert rep.grad_x_max_rel < 1e-6
-        assert set(rep.absent) == {"grad_t", "hess_xx"}
+        assert rep.hess_xx_max_rel is None
 
     @pytest.mark.parametrize("initial", [1000, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 123])
     def test_chunked_oracle_matches_whole_gathers_bit_for_bit(self, initial):

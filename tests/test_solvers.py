@@ -25,6 +25,7 @@ from predcorr import (
     predict_cauchy_point,
     predict_foa_min,
     predict_ufopc,
+    rng_from_seed,
     run,
     synth_ratings,
 )
@@ -381,7 +382,6 @@ class TestRun:
             toy,
             value=lambda x, t: toy.value(x, t + delta),
             grad_x=lambda x, t: toy.grad_x(x, t + delta),
-            grad_t=lambda x, t: toy.grad_t(x, t + delta),
             hess_xx=lambda x, t: toy.hess_xx(x, t + delta),
             optimum=None,
         )
@@ -427,26 +427,46 @@ class TestRun:
 
     @pytest.mark.parametrize("problem", [make_linreg("linreg_static"), make_toy()],
                              ids=["unguarded", "guarded"])
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    # 1e200 is finite, but ||x0||^2 overflows
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200])
     def test_nonfinite_x0_rejected(self, problem, bad):
         x0 = np.zeros(problem.dim)
         x0[-1] = bad
         with pytest.raises(ValueError, match="x0 must be finite"):
             run(problem, SolverConfig(algorithm=TVGD), TimeGrid(0.1, 2), x0)
 
-    def test_default_guard_stays_finite_for_a_huge_x0(self):
-        """||x0||^2 overflows, so the default guard 1e8 (1 + ||x0||) would be
-        inf; it is capped, and x0 fails it although every oracle is finite."""
-        p = ProblemOracle(
-            dim=2,
-            value=lambda x, t: float(np.abs(x).sum()),
-            grad_x=lambda x, t: np.sign(x),
-            name="abs",
-        )
-        with np.errstate(over="ignore"):
-            tr = run(p, SolverConfig(algorithm=TVGD), TimeGrid(0.1, 3), np.full(2, 1e200))
-        assert tr.diverged and tr.diverged_step == 0
-        assert tr.f_pred.tolist() == [2e200] and tr.grad_norm.tolist() == [math.sqrt(2)]
+
+class TestClosedForm:
+    """tvgd with C = 1 on ``linreg_static`` is, per coordinate, the linear
+    filter x_{k+1} = rho x_k + (1 - rho) x*(t_k) with rho = 1 - beta a^2 and
+    x*(t) = (10/a) sin(t/100 + phi).  Summing the geometric series of
+    z = exp(i h/100) gives
+
+        x_k = rho^k x_0 + (1 - rho) (10/a) Im(e^{i phi} (z^k - rho^k) / (z - rho)),
+
+    which checks the loop against the mathematics, not against itself."""
+
+    def test_tvgd_on_static_least_squares_matches_the_filter(self):
+        p = make_linreg("linreg_static")
+        h, steps, beta = 0.1, 2000, 0.01
+        x0 = rng_from_seed(0).standard_normal(p.dim)
+        tr = run(p, SolverConfig(TVGD, C=1, beta=beta), TimeGrid(h, steps), x0)
+        assert not tr.diverged and len(tr) == steps
+
+        idx = np.arange(1, 11)
+        a = np.where(idx <= 5, 0.1, 10.0)
+        phi = 2.0 * np.pi * idx / 10.0
+        rho = 1.0 - beta * a * a
+        z = np.exp(1j * h / 100.0)
+        k = np.arange(steps)[:, None]
+        geometric = np.exp(1j * phi) * (z**k - rho**k) / (z - rho)
+        x = rho**k * x0 + (1.0 - rho) * (10.0 / a) * geometric.imag
+        b = 10.0 * np.sin(h * k / 100.0 + phi)
+        f = 0.5 * ((a * x - b) ** 2).sum(axis=1)
+
+        assert np.all(np.abs(tr.f_pred - f) <= 1e-10 * f)
+        # the optimal value is 0, so the gap is the value
+        assert np.all(np.abs(tr.gap - f) <= 1e-10 * f)
 
 
 class TestCorrectedValue:
