@@ -399,6 +399,8 @@ class Check:
     oracles: tuple = ()          # problem oracles read besides the solvers' own
     min_steps: int = 1           # the fewest steps of the first period
     setup: bool = True           # False: runs on fixed inputs of its own
+    stream: bool = True          # False: refused on a ratings stream, which
+                                 # reveals the same ratings per step whatever h is
 
 
 CHECKS = {
@@ -411,7 +413,9 @@ CHECKS = {
         check_post_convergence, {TVGD: ("L1", "G2"), FOA_MIN: ("L1", "L2", "L3")},
         beta_rule=True, oracles=("optimum",),
     ),
-    "prediction_gap": Check(check_prediction_gap, dict.fromkeys(_RATIO_WINDOWS, ()), min_steps=2),
+    "prediction_gap": Check(
+        check_prediction_gap, dict.fromkeys(_RATIO_WINDOWS, ()), min_steps=2, stream=False
+    ),
     "ratio_bound": Check(check_ratio_bound, setup=False),
 }
 
@@ -464,6 +468,11 @@ def cmd_check(config: ExperimentConfig, args, multi: bool) -> int:
             if steps < row.min_steps:
                 raise ConfigError(
                     f"{name} needs at least {row.min_steps} steps at h = {h:g}, got {steps}"
+                )
+            if not row.stream and setup.dataset is not None:
+                raise ConfigError(
+                    f"{name} is not defined on {config.problem}: the ratings stream "
+                    "reveals the same ratings per step at h and h/2"
                 )
     outcomes: list[CheckOutcome] = []
     for (_, row), solvers in zip(rows, plan):

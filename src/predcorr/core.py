@@ -67,7 +67,10 @@ class ProblemOracle:
 
     value(x, t)    -> float                objective f(x; t)
     grad_x(x, t)   -> (d,) array           spatial gradient
-    hess_xx(x, t)  -> (d, d) array         symmetric Hessian (optional)
+    hess_xx(x, t)  -> callable v -> H v    the symmetric Hessian at (x, t)
+        as a linear map on (d,) vectors (optional).  The caller builds it
+        once and applies it as often as it needs; no d x d matrix has to
+        exist (a diagonal Hessian is an elementwise product).
     optimum(t, x_hint=None) -> (x*, f*)    reference optimum (optional);
         a problem with several local minima may use the hint to choose
         the one it reports.
@@ -84,7 +87,7 @@ class ProblemOracle:
     dim: int
     value: Callable[[Array, float], float]
     grad_x: Callable[[Array, float], Array]
-    hess_xx: Optional[Callable[[Array, float], Array]] = None
+    hess_xx: Optional[Callable[[Array, float], Callable[[Array], Array]]] = None
     optimum: Optional[Callable[..., tuple[Array, float]]] = None
     domain_guard: Optional[float] = None
     name: str = ""
@@ -194,7 +197,8 @@ def finite_difference_check(
 
     Draws ``samples`` points with ``x ~ x_scale * N(0, I)`` and
     ``t ~ U[0, t_max]`` and differentiates with step ``1e-5 * (1 + ||x||)``.
-    The finite-difference Hessian differentiates ``grad_x``, so an
+    The Hessian operator's columns ``H e_j`` are compared with the
+    finite-difference Hessian, which differentiates ``grad_x``, so an
     asymmetric analytic Hessian fails the comparison.  Deterministic for a
     fixed seed.
     """
@@ -214,7 +218,8 @@ def finite_difference_check(
         g_max = max(g_max, float(np.linalg.norm(g - gfd) / (1.0 + np.linalg.norm(g))))
 
         if has_h:
-            H = np.asarray(problem.hess_xx(x, t), dtype=float)
+            hess = problem.hess_xx(x, t)
+            H = np.column_stack([hess(e) for e in np.eye(problem.dim)])
             Hfd = _fd_hess(problem, x, t, sx)
             h_max = max(h_max, float(np.linalg.norm(H - Hfd) / (1.0 + np.linalg.norm(H))))
 

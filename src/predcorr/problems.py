@@ -101,7 +101,7 @@ def make_toy() -> ProblemOracle:
 
     def hess_xx(x, t):
         u = x[0] - 10.0 * t
-        return np.array([[0.1 - np.sin(u)]])
+        return np.array([0.1 - np.sin(u)]).__mul__
 
     def optimum(t, x_hint=None):
         u = (0.0 if x_hint is None else x_hint[0]) - 10.0 * t
@@ -161,7 +161,8 @@ _SQUARED = "squared"
 
 # loss name -> (total over residuals, elementwise first and second
 # derivative); the squared loss has unit curvature, so its Hessian A(t)^2
-# needs no residual
+# needs no residual.  A(t) is diagonal, so every Hessian is the elementwise
+# product by its curvature vector.
 _LOSSES = {
     _SQUARED: (lambda r: 0.5 * float(r @ r), lambda r: r, None),
     ROBUST_GM: (lambda r: float(geman_mcclure(r).sum()), geman_mcclure_d1, geman_mcclure_d2),
@@ -214,7 +215,7 @@ def _diag_regression(
 
     def hess_xx(x, t):
         a, bt = frame(t)
-        return np.diag(a * a if squared else d2(a * x - bt) * a * a)
+        return (a * a if squared else d2(a * x - bt) * a * a).__mul__
 
     def optimum(t, x_hint=None):
         a, bt = frame(t)
@@ -340,8 +341,8 @@ def make_mf(
     most recent prefix length is memoized.
     The objective averages squared error plus ``reg * (||P_u||^2 +
     ||Q_i||^2)`` over revealed pairs.  Only value and spatial gradient are
-    available: the Hessian is not offered at this scale.  Requesting it
-    raises through the solver's oracle check.
+    available: no Hessian operator is offered.  Requesting it raises
+    through the solver's oracle check.
 
     The decision vector concatenates the user-factor matrix (latent_dim x
     n_users) and the item-factor matrix (latent_dim x n_items), both

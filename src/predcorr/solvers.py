@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -164,19 +164,21 @@ def predict_foa_min(g: Array, x: Array, zeta: float, h: float, delta: float) -> 
 
 
 def predict_cauchy_point(
-    g: Array, H: Array, x: Array, zeta: float, h: float, delta: float
+    g: Array, H: Callable[[Array], Array], x: Array, zeta: float, h: float, delta: float
 ) -> Array:
     """Minimize the quadratic model along -g within the radius zeta*h.
 
-    With curvature q = g'Hg along the direction, the unconstrained minimizer
-    sits at arc length ||g||^3 / q; nonpositive q (including exactly zero)
-    means the model decreases all the way to the boundary, so the full step
-    is taken.  Returns x unchanged when ||g|| <= delta.
+    ``H`` is the Hessian as a linear map ``v -> H v`` (see
+    :class:`ProblemOracle`).  With curvature q = g'Hg along the direction,
+    the unconstrained minimizer sits at arc length ||g||^3 / q; nonpositive
+    q (including exactly zero) means the model decreases all the way to the
+    boundary, so the full step is taken.  Returns x unchanged when
+    ||g|| <= delta.
     """
     gn = _norm(g)
     if gn <= delta:
         return x
-    q = float(g @ (H @ g))
+    q = float(g @ H(g))
     if q <= 0.0:
         s = zeta * h
     else:
@@ -207,8 +209,14 @@ def predict_ufopc(
 
     There is deliberately no divergence guard inside the loop: on indefinite
     H the iteration can run away, and reproducing that instability is part
-    of the algorithm's observable behavior.  The caller detects non-finite
-    or out-of-guard results.
+    of the algorithm's observable behavior.  Nor is there a scan for
+    non-finite coordinates.  A coordinate that overflows stays non-finite
+    for the rest of the loop, because ``z_i - alpha * y`` is inf or NaN
+    whenever ``z_i`` is (inf - inf and 0 * inf give NaN, and NaN
+    propagates), whatever ``y`` is.  So the loop returns a non-finite point
+    exactly when a scan would have stopped it early, and the caller's guard
+    test rejects that point.  numpy's overflow and invalid-value warnings
+    are silenced for the same reason.
     """
     require(problem, "hess_xx")
     if P == 0:
@@ -218,10 +226,9 @@ def predict_ufopc(
     H = problem.hess_xx(x, t)
     forcing = h * dtg + gamma * g
     z = x
-    for _ in range(P):
-        z = z - alpha * (H @ (z - x) + forcing)
-        if not np.isfinite(z).all():
-            break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(P):
+            z = z - alpha * (H(z - x) + forcing)
     return z
 
 

@@ -23,7 +23,7 @@ def diag_quadratic(diag, target=None):
         dim=len(d),
         value=value,
         grad_x=grad_x,
-        hess_xx=lambda x, t: np.diag(d),
+        hess_xx=lambda x, t: d.__mul__,
         optimum=optimum,
         name="diag_quadratic",
     )

@@ -273,7 +273,7 @@ def test_criterion_7_cauchy_step_matches_brute_force():
         def model(s):
             return -s * gn + 0.5 * s * s * float(direction @ H @ direction)
 
-        x_cp = predict_cauchy_point(g, H, x, radius, 1.0, 1e-12)
+        x_cp = predict_cauchy_point(g, H.__matmul__, x, radius, 1.0, 1e-12)
         x_foa = predict_foa_min(g, x, radius, 1.0, 1e-12)
         m_cp = model(float(np.linalg.norm(x_cp - x)))
         m_foa = model(float(np.linalg.norm(x_foa - x)))

@@ -831,11 +831,11 @@ class TestRefusedBeforeAnyRun:
     """Configurations that cannot run end in exit 1 with one line, before
     any solver runs and before any CSV is written."""
 
-    def refused(self, tmp_path, capsys, monkeypatch, verb, text):
+    def refused(self, tmp_path, capsys, monkeypatch, verb, text, *extra):
         runs = []
         monkeypatch.setattr(predcorr.cli, "run", lambda *a, **kw: runs.append(a))
         out = tmp_path / "o"
-        code = main([verb, "--config", write_config(tmp_path, text), "--out", str(out)])
+        code = main([verb, "--config", write_config(tmp_path, text), "--out", str(out), *extra])
         assert code == EXIT_USAGE
         assert runs == []
         assert not out.exists() or not list(out.rglob("*.csv"))
@@ -852,10 +852,36 @@ class TestRefusedBeforeAnyRun:
         err = self.refused(tmp_path, capsys, monkeypatch, verb, text)
         assert err == "error: problem 'mf' does not provide: hess_xx"
 
-    def test_check_needs_oracles_of_its_planned_solvers_only(self, tmp_path):
-        # prediction_gap has no window for ufopc, so its Hessian is not needed
-        text = MF_SYNTH_RUN.replace("compute_gap = never", "checks = prediction_gap")
-        text += "\n[solver ufopc]\nalgorithm = ufopc\nC = 1\nbeta = 5\nP = 1\n"
+    @pytest.mark.parametrize("problem, checks", [
+        ("mf_synth", "prediction_gap"),
+        # listed after a check that could run
+        ("mf_synth", "ratio_bound, prediction_gap"),
+        ("mf_file", "prediction_gap"),
+    ])
+    def test_prediction_gap_refused_on_a_ratings_stream(
+        self, tmp_path, capsys, monkeypatch, problem, checks
+    ):
+        # both runs of the check would see the same objective sequence
+        base, extra = MF_SYNTH_RUN, ()
+        if problem == "mf_file":
+            base, extra = MF_FILE_SWEEP, ("--ratings", write_ratings(tmp_path))
+        text = base.replace("compute_gap = never", f"compute_gap = never\nchecks = {checks}")
+        err = self.refused(tmp_path, capsys, monkeypatch, "check", text, *extra)
+        assert err == (
+            f"error: prediction_gap is not defined on {problem}: the ratings stream "
+            "reveals the same ratings per step at h and h/2"
+        )
+
+    def test_check_needs_oracles_of_its_planned_solvers_only(self, tmp_path, monkeypatch):
+        # prediction_gap has no window for ufopc, so a toy stripped of its
+        # Hessian still runs the check on tvgd
+        build = predcorr.cli.build_problem
+        monkeypatch.setattr(
+            predcorr.cli, "build_problem",
+            lambda *a, **kw: dataclasses.replace(build(*a, **kw), hess_xx=None),
+        )
+        text = CHECK_PREDICTION_GAP.split("[solver foa_min]")[0]
+        text += "[solver ufopc]\nalgorithm = ufopc\nC = 1\nbeta = 1.0\nP = 1\n"
         out = tmp_path / "o"
         code = main(["check", "--config", write_config(tmp_path, text), "--out", str(out)])
         assert code in (EXIT_OK, EXIT_CHECK_FAILED)

@@ -31,9 +31,11 @@ from predcorr.problems import (
     _revealed,
     geman_mcclure,
     geman_mcclure_d1,
+    geman_mcclure_d2,
     steps_to_reveal,
     welsch,
     welsch_d1,
+    welsch_d2,
 )
 from predcorr.ratings import RatingsDataset
 
@@ -54,9 +56,16 @@ MEMO_PROBLEMS = {
 }
 
 
+def hessian_product(p):
+    """``(x, t) -> H(x, t) x``: the Hessian operator applied to x, or None."""
+    if p.hess_xx is None:
+        return None
+    return lambda x, t: p.hess_xx(x, t)(x)
+
+
 def oracle_outputs(p, x, t):
     """Every present oracle's result at (x, t), the optimum included."""
-    out = [f(x, t) for f in (p.value, p.grad_x, p.hess_xx) if f is not None]
+    out = [f(x, t) for f in (p.value, p.grad_x, hessian_product(p)) if f is not None]
     if p.optimum is not None:
         out += list(p.optimum(t, x))
     return out
@@ -83,7 +92,7 @@ class TestTimeFrameMemo:
     def test_writing_into_results_leaves_next_call_unchanged(self, name):
         p = MEMO_PROBLEMS[name]()
         x, t = np.full(p.dim, 0.5), 0.3
-        for oracle in (p.grad_x, p.hess_xx):
+        for oracle in (p.grad_x, hessian_product(p)):
             if oracle is None:
                 continue
             first = oracle(x, t)
@@ -95,6 +104,60 @@ class TestTimeFrameMemo:
             want = xs.copy()
             xs[...] = 1e9
             assert np.array_equal(p.optimum(t)[0], want)
+
+
+def curvature(name, x, t):
+    """Diagonal of the Hessian of the analytic problem ``name`` at (x, t),
+    from its definition: the toy's ``0.1 - sin(x - 10t)``, and ``A(t)^2``
+    times the loss's second derivative at the residual for the diagonal
+    family."""
+    if name == "toy":
+        return np.array([0.1 - np.sin(x[0] - 10.0 * t)])
+    small, amplitude, drifting, d2 = {
+        LINREG_STATIC: (0.1, 10.0, False, None),
+        LINREG_DRIFT: (0.1, 10.0, True, None),
+        ROBUST_GM: (1.0, 50.0, True, geman_mcclure_d2),
+        ROBUST_WELSCH: (1.0, 50.0, True, welsch_d2),
+    }[name]
+    idx = np.arange(1, 11)
+    phase = 2.0 * np.pi * idx / 10.0
+    a = np.where(idx <= 5, small, 10.0)
+    if drifting:
+        s, c = np.sin(t / 200.0), np.cos(t / 200.0)
+        a = a * (1.0 + 0.05 * (c * np.cos(phase) - s * np.sin(phase)))
+    if d2 is None:
+        return a * a
+    s, c = np.sin(t / 100.0), np.cos(t / 100.0)
+    b = amplitude * (s * np.cos(phase) + c * np.sin(phase))
+    return d2(a * x - b) * a * a
+
+
+class TestHessianOperator:
+    """``hess_xx(x, t)`` is the Hessian as a linear map: applied to v it
+    gives the dense product ``H v`` exactly, without forming H.  Only the
+    sign of a zero may differ: where a Welsch curvature underflows to -0,
+    the dense sum adds +0 terms."""
+
+    @pytest.mark.parametrize("name", ["toy", LINREG_STATIC, LINREG_DRIFT, ROBUST_GM, ROBUST_WELSCH])
+    def test_operator_matches_the_dense_product(self, name):
+        p = MEMO_PROBLEMS[name]()
+        rng = np.random.default_rng(23)
+        for _ in range(50):
+            x = 5.0 * rng.standard_normal(p.dim)
+            t = rng.uniform(-50.0, 500.0)
+            v = rng.standard_normal(p.dim)
+            dense = np.diag(curvature(name, x, t)) @ v
+            assert np.array_equal(p.hess_xx(x, t)(v), dense)
+
+    def test_operator_applies_many_times_and_leaves_its_input(self):
+        p = make_robust(ROBUST_GM)
+        x, t = np.linspace(-3.0, 3.0, 10), 4.5
+        hess = p.hess_xx(x, t)
+        v = np.arange(10.0)
+        first = hess(v)
+        assert np.array_equal(v, np.arange(10.0))
+        assert hess(v).tobytes() == first.tobytes()
+        assert hess(2.0 * v).tobytes() == (2.0 * first).tobytes()
 
 
 def toy_descent(toy, x, t):
@@ -124,7 +187,7 @@ class TestToy:
 
     def test_negative_curvature_at_start(self):
         toy = make_toy()
-        h = toy.hess_xx(np.array([8.0]), 0.0)[0, 0]
+        h = toy.hess_xx(np.array([8.0]), 0.0)(np.ones(1))[0]
         assert h == pytest.approx(0.1 - math.sin(8.0), rel=1e-15)
         assert h < 0
 
@@ -211,8 +274,8 @@ class TestLinreg:
 
     def test_drift_variant_moves_diagonal(self):
         p = make_linreg("linreg_drift")
-        h0 = p.hess_xx(np.zeros(10), 0.0)
-        h1 = p.hess_xx(np.zeros(10), 200.0)
+        h0 = p.hess_xx(np.zeros(10), 0.0)(np.ones(10))
+        h1 = p.hess_xx(np.zeros(10), 200.0)(np.ones(10))
         assert not np.allclose(h0, h1)
 
     def test_constants_and_g2_bound(self):

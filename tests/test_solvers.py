@@ -28,6 +28,7 @@ from predcorr import (
     rng_from_seed,
     run,
     synth_ratings,
+    tail_stats,
 )
 
 from conftest import diag_quadratic
@@ -170,7 +171,7 @@ class TestPredictCauchyPoint:
     def test_interior_minimizer_1d(self):
         # curvature 1, gradient 2: minimizer at arc length 2, radius 10
         x = np.array([5.0])
-        out = predict_cauchy_point(np.array([2.0]), np.array([[1.0]]), x, 10.0, 1.0, 1e-10)
+        out = predict_cauchy_point(np.array([2.0]), np.ones(1).__mul__, x, 10.0, 1.0, 1e-10)
         assert out[0] == pytest.approx(3.0, rel=1e-15)
         # brute-force the 1-d model m(s) = 2 s + s^2 / 2 over [-10, 10]
         s = np.arange(-10.0, 10.0001, 1e-4)
@@ -182,7 +183,7 @@ class TestPredictCauchyPoint:
         g = rng.normal(size=3)
         H = -np.eye(3)
         x = rng.normal(size=3)
-        cp = predict_cauchy_point(g, H, x, 1.5, 0.1, 1e-10)
+        cp = predict_cauchy_point(g, H.__matmul__, x, 1.5, 0.1, 1e-10)
         foa = predict_foa_min(g, x, 1.5, 0.1, 1e-10)
         assert np.array_equal(cp, foa)
 
@@ -191,19 +192,19 @@ class TestPredictCauchyPoint:
         g = np.array([1.0, 0.0])
         H = np.array([[0.0, 0.0], [0.0, 1.0]])
         x = np.zeros(2)
-        out = predict_cauchy_point(g, H, x, 2.0, 0.5, 1e-10)
+        out = predict_cauchy_point(g, H.__matmul__, x, 2.0, 0.5, 1e-10)
         assert np.linalg.norm(out - x) == pytest.approx(1.0, rel=1e-14)
 
     def test_far_minimizer_clamped_to_radius(self):
         g = np.array([1e-3])
         H = np.array([[1e-6]])
         x = np.array([0.0])
-        out = predict_cauchy_point(g, H, x, 1.0, 0.5, 1e-12)
+        out = predict_cauchy_point(g, H.__matmul__, x, 1.0, 0.5, 1e-12)
         assert abs(out[0]) == pytest.approx(0.5, rel=1e-14)
 
     def test_guard_branch(self):
         x = np.array([1.0])
-        out = predict_cauchy_point(np.array([1e-12]), np.array([[1.0]]), x, 1.0, 1.0, 1e-10)
+        out = predict_cauchy_point(np.array([1e-12]), np.ones(1).__mul__, x, 1.0, 1.0, 1e-10)
         assert np.array_equal(out, x)
 
     @settings(max_examples=60, deadline=None)
@@ -217,7 +218,7 @@ class TestPredictCauchyPoint:
         H = (A + A.T) / 2
         x = rng.normal(size=dim)
         radius = float(rng.uniform(0.1, 3.0))
-        out = predict_cauchy_point(g, H, x, radius, 1.0, 1e-12)
+        out = predict_cauchy_point(g, H.__matmul__, x, radius, 1.0, 1e-12)
         step = np.linalg.norm(out - x)
         assert step <= radius * (1 + 1e-12)
         grid = np.linspace(0.0, radius, 4001)
@@ -243,7 +244,7 @@ class TestPredictUfopc:
             return A @ x - c * t
 
         return ProblemOracle(
-            dim=2, value=value, grad_x=grad_x, hess_xx=lambda x, t: A, name="driftq"
+            dim=2, value=value, grad_x=grad_x, hess_xx=lambda x, t: A.__matmul__, name="driftq"
         )
 
     def test_single_step_closed_form(self):
@@ -446,9 +447,13 @@ class TestClosedForm:
 
     which checks the loop against the mathematics, not against itself."""
 
-    def test_tvgd_on_static_least_squares_matches_the_filter(self):
+    H, STEPS, BETA = 0.1, 2000, 0.01
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        """The run's trace, and the filter's values and gradient norms."""
         p = make_linreg("linreg_static")
-        h, steps, beta = 0.1, 2000, 0.01
+        h, steps, beta = self.H, self.STEPS, self.BETA
         x0 = rng_from_seed(0).standard_normal(p.dim)
         tr = run(p, SolverConfig(TVGD, C=1, beta=beta), TimeGrid(h, steps), x0)
         assert not tr.diverged and len(tr) == steps
@@ -461,12 +466,30 @@ class TestClosedForm:
         k = np.arange(steps)[:, None]
         geometric = np.exp(1j * phi) * (z**k - rho**k) / (z - rho)
         x = rho**k * x0 + (1.0 - rho) * (10.0 / a) * geometric.imag
-        b = 10.0 * np.sin(h * k / 100.0 + phi)
-        f = 0.5 * ((a * x - b) ** 2).sum(axis=1)
+        r = a * x - 10.0 * np.sin(h * k / 100.0 + phi)
+        f = 0.5 * (r**2).sum(axis=1)
+        grad_norm = np.linalg.norm(a * r, axis=1)
+        return tr, f, grad_norm
 
+    def test_tvgd_on_static_least_squares_matches_the_filter(self, runs):
+        tr, f, _ = runs
         assert np.all(np.abs(tr.f_pred - f) <= 1e-10 * f)
         # the optimal value is 0, so the gap is the value
         assert np.all(np.abs(tr.gap - f) <= 1e-10 * f)
+
+    def test_tail_stats_match_the_filter(self, runs):
+        tr, f, grad_norm = runs
+        tail = tail_stats(tr)
+        w = self.STEPS // 2
+        assert tail.window == w
+        want = {
+            "max_grad": grad_norm[-w:].max(),
+            "mean_grad": grad_norm[-w:].mean(),
+            "max_gap": f[-w:].max(),
+            "mean_gap": f[-w:].mean(),
+        }
+        for stat, value in want.items():
+            assert abs(getattr(tail, stat) - value) <= 1e-10 * value, stat
 
 
 class TestCorrectedValue:
@@ -518,7 +541,7 @@ def half_square(**pieces):
         dim=1,
         value=lambda x, t: 0.5 * float(x @ x),
         grad_x=lambda x, t: x.copy(),
-        hess_xx=lambda x, t: np.eye(1),
+        hess_xx=lambda x, t: np.ones(1).__mul__,
         optimum=lambda t, x_hint=None: (np.zeros(1), 0.0),
         domain_guard=10.0,
         name="half_square",
@@ -539,7 +562,7 @@ class TestDivergenceCases:
         [
             # the quadratic model's NaN curvature makes the prediction NaN
             (
-                half_square(hess_xx=lambda x, t: np.full((1, 1), NAN)),
+                half_square(hess_xx=lambda x, t: np.full(1, NAN).__mul__),
                 SolverConfig(UFOPC, C=1, beta=0.5, P=1, alpha=1.0),
                 2, [0, 1], [0, 1], [0, 1], [0.125, NAN],
             ),
@@ -582,6 +605,29 @@ class TestDivergenceCases:
         assert np.isnan(tr.grad_norm).astype(int).tolist() == nan_gn
         assert np.isnan(tr.gap).astype(int).tolist() == nan_gap
         assert np.array_equal(tr.f_corr, f_corr, equal_nan=True)
+
+    @pytest.mark.parametrize(
+        "x0, predicted",
+        # negative curvature: the model's error grows by 1 + alpha |c| per
+        # step and runs to -inf; positive curvature: it alternates in sign
+        # until inf - inf gives NaN
+        [(8.0, -math.inf), (-1.0, NAN)],
+        ids=["indefinite", "overshooting"],
+    )
+    def test_ufopc_model_loop_overflow(self, x0, predicted):
+        toy = make_toy()
+        config = SolverConfig(UFOPC, C=1, beta=1.0, P=10, alpha=1e100)
+        x_c = correct(toy, np.array([x0]), 0.0, config.C, config.beta)
+        assert np.array_equal(
+            predict_ufopc(toy, x_c, 0.0, 0.1, config.P, config.alpha, config.gamma),
+            [predicted], equal_nan=True,
+        )
+        tr = run(toy, config, TimeGrid(0.1, 10), np.array([x0]), record_f_corr=True)
+        assert tr.diverged and tr.diverged_step == 1
+        assert len(tr) == len(tr.f_corr) == len(tr.gap) == 2
+        for column in (tr.f_pred, tr.grad_norm, tr.gap):
+            assert np.isnan(column).astype(int).tolist() == [0, 1]
+        assert tr.f_corr[0] == toy.value(x_c, 0.0) and np.isnan(tr.f_corr[1])
 
 
 class TestOracleBudget:
