@@ -532,6 +532,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.jobs < 1:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         configs = resolve_configs(args.config)
+        for config in configs:
+            for name in config.checks:
+                if name not in CHECKS:
+                    raise ConfigError(f"unknown check {name!r}; expected one of {tuple(CHECKS)}")
         if args.seed is not None:
             check_seed("--seed", args.seed)
             for c in configs:

@@ -39,28 +39,7 @@ from .problems import (
     toy_constants,
 )
 from .ratings import RatingsDataset, load_ratings, filter_min_counts, synth_ratings
-from .solvers import SolverConfig
-
-CHECK_NAMES = (
-    "gradients",
-    "lipschitz_optimum",
-    "pl_envelope",
-    "post_convergence",
-    "prediction_gap",
-    "ratio_bound",
-)
-
-_EXPERIMENT_KEYS = {
-    "problem", "h", "steps", "x0", "seed", "out", "compute_gap", "timing",
-    "warm_beta", "checks", "trials",
-    "L1", "L2", "L3", "G2", "mu",
-    "mf_latent_dim", "mf_reg", "mf_reveal_per_step", "mf_initial_revealed",
-    "mf_min_user", "mf_min_item",
-    "synth_users", "synth_items", "synth_ratings", "synth_latent_dim",
-    "synth_noise_sd", "synth_seed",
-}
-
-_SOLVER_KEYS = {"algorithm", "C", "beta", "P", "alpha", "gamma", "zeta", "delta", "g_choice"}
+from .solvers import SolverConfig, x0_norm
 
 PRESET_ALIASES = {"table7": ("table7_gm", "table7_welsch")}
 
@@ -174,41 +153,36 @@ def parse_config(path_or_text, is_text: bool = False, source: str = "") -> Exper
 
     if "experiment" not in sections:
         raise ConfigError("missing [experiment] section")
+    # Each key is popped as it is read; one still left at the end is unknown.
     exp = sections["experiment"]
-    for key in exp:
-        if key not in _EXPERIMENT_KEYS:
-            raise ConfigError(f"unknown key {key!r} in [experiment]")
-
-    problem = exp.get("problem", "")
+    problem = exp.pop("problem", "")
     if problem not in PROBLEMS:
         raise ConfigError(f"unknown problem {problem!r}; expected one of {tuple(PROBLEMS)}")
     spec = PROBLEMS[problem]
     if "h" not in exp or "steps" not in exp:
         raise ConfigError("[experiment] needs both 'h' and 'steps'")
-    grid = _parse_grid(exp["h"], exp["steps"])
+    grid = _parse_grid(exp.pop("h"), exp.pop("steps"))
     if spec.load is None and any(steps == "auto" for _, steps in grid):
         raise ConfigError("steps = auto is only meaningful for mf problems")
 
-    compute_gap = exp.get("compute_gap", "auto")
+    compute_gap = exp.pop("compute_gap", "auto")
     if compute_gap not in ("auto", "never"):
         raise ConfigError(f"compute_gap must be auto or never, got {compute_gap!r}")
-    timing = exp.get("timing", "zero")
+    timing = exp.pop("timing", "zero")
     if timing not in ("zero", "live"):
         raise ConfigError(f"timing must be zero or live, got {timing!r}")
 
-    checks = [c.strip() for c in exp.get("checks", "").split(",") if c.strip()]
-    for c in checks:
-        if c not in CHECK_NAMES:
-            raise ConfigError(f"unknown check {c!r}; expected one of {CHECK_NAMES}")
+    # the command line tests check names against cli.CHECKS
+    checks = [c.strip() for c in exp.pop("checks", "").split(",") if c.strip()]
 
     def num(key, default, cast=float, low=None, strict=False):
-        return _number(key, exp.get(key, default), cast, low, strict)
+        return _number(key, exp.pop(key, default), cast, low, strict)
 
     # The bounds divide by L1 and mu.
     overrides = {
-        key: _number(key, exp[key], low=0, strict=key in ("L1", "mu"))
-        for key in ("L1", "L2", "L3", "G2", "mu")
-        if key in exp
+        f.name: _number(f.name, exp.pop(f.name), low=0, strict=f.name in ("L1", "mu"))
+        for f in dataclasses.fields(ProblemConstants)
+        if f.name in exp
     }
     try:
         constants = dataclasses.replace(spec.constants, **overrides)
@@ -233,10 +207,12 @@ def parse_config(path_or_text, is_text: bool = False, source: str = "") -> Exper
         "noise_sd": num("synth_noise_sd", "0.3", low=0),
     }
     if "synth_seed" in exp:   # else the dataset takes `seed` when it is built
-        synth_params["seed"] = check_seed(
-            "synth_seed", _number("synth_seed", exp["synth_seed"], int)
-        )
+        synth_params["seed"] = check_seed("synth_seed", num("synth_seed", None, int))
 
+    # A solver key is a SolverConfig field; its default's type casts it.
+    solver_fields = {
+        f.name: type(f.default) for f in dataclasses.fields(SolverConfig) if f.name != "name"
+    }
     solvers = []
     for section, raw in sections.items():
         if section == "experiment":
@@ -245,21 +221,18 @@ def parse_config(path_or_text, is_text: bool = False, source: str = "") -> Exper
             raise ConfigError(
                 f"unknown section [{section}]; expected [experiment] or [solver <name>]"
             )
-        name = section[len("solver "):].strip()
         for key in raw:
-            if key not in _SOLVER_KEYS:
+            if key not in solver_fields:
                 raise ConfigError(f"unknown key {key!r} in [{section}]")
         if "algorithm" not in raw:
             raise ConfigError(f"[{section}] is missing 'algorithm'")
-        kwargs = {"algorithm": raw["algorithm"], "name": name}
-        if "g_choice" in raw:
-            kwargs["g_choice"] = raw["g_choice"]
-        for key, cast in (
-            ("C", int), ("beta", float), ("P", int), ("alpha", float),
-            ("gamma", float), ("zeta", float), ("delta", float),
-        ):
+        kwargs = {"name": section[len("solver "):].strip()}
+        for key, cast in solver_fields.items():
             if key in raw:
-                kwargs[key] = _number(f"[{section}] {key}", raw[key], cast)
+                kwargs[key] = (
+                    _number(f"[{section}] {key}", raw[key], cast)
+                    if cast in (int, float) else raw[key]
+                )
         try:
             solver = SolverConfig(**kwargs)
         except ValueError as exc:
@@ -268,13 +241,13 @@ def parse_config(path_or_text, is_text: bool = False, source: str = "") -> Exper
             raise ConfigError(f"[{section}]: a solver is already labelled {solver.label!r}")
         solvers.append(solver)
 
-    return ExperimentConfig(
+    config = ExperimentConfig(
         problem=problem,
         grid=grid,
         solvers=solvers,
-        x0_spec=exp.get("x0", "randn"),
+        x0_spec=exp.pop("x0", "randn"),
         seed=seed,
-        out=exp.get("out", "out"),
+        out=exp.pop("out", "out"),
         compute_gap=compute_gap,
         timing=timing,
         warm_beta=num("warm_beta", "10.0", low=0, strict=True),
@@ -285,6 +258,9 @@ def parse_config(path_or_text, is_text: bool = False, source: str = "") -> Exper
         synth_params=synth_params,
         source=source,
     )
+    if exp:
+        raise ConfigError(f"unknown key {next(iter(exp))!r} in [experiment]")
+    return config
 
 
 def available_presets() -> list[str]:
@@ -443,10 +419,8 @@ def build_x0(config: ExperimentConfig, problem: ProblemOracle) -> np.ndarray:
         )
     else:
         x0 = np.asarray(values, dtype=float)
-    # a NaN, an infinity or an overflowing norm; the solver loop refuses
-    # the same points
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(x0)
-    if not math.isfinite(norm):
-        raise ConfigError(f"x0 must be finite, with a finite norm, got {spec!r}")
+    try:
+        x0_norm(x0)   # the solver loop refuses the same points
+    except ValueError as exc:
+        raise ConfigError(f"{exc}, got {spec!r}") from None
     return x0

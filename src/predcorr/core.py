@@ -8,6 +8,7 @@ gradient, and optional higher-order oracles behind plain callables.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -121,10 +122,10 @@ class ProblemConstants:
     mu: Optional[float] = None
 
     def __post_init__(self):
-        for name in ("L1", "L2", "L3", "G2", "mu"):
-            v = getattr(self, name)
+        for f in dataclasses.fields(self):
+            v = getattr(self, f.name)
             if v is not None and v < 0:
-                raise ValueError(f"{name} must be >= 0, got {v}")
+                raise ValueError(f"{f.name} must be >= 0, got {v}")
         if self.mu is not None and self.L1 is not None and self.mu > self.L1:
             raise ValueError(f"mu={self.mu} cannot exceed L1={self.L1}")
 

@@ -40,6 +40,16 @@ def _norm(v: Array) -> float:
     return math.sqrt(v.dot(v))
 
 
+def x0_norm(x0: Array) -> float:
+    """``||x0||``, or ``ValueError`` when x0 has a NaN or an infinite
+    coordinate or its norm overflows: no domain guard can hold such a point."""
+    with np.errstate(over="ignore"):   # an overflow is the refusal below
+        norm = _norm(x0)
+    if not math.isfinite(norm):
+        raise ValueError("x0 must be finite, with a finite norm")
+    return norm
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Algorithm selector plus every tunable the four algorithms use.
@@ -103,8 +113,9 @@ class Trace:
     ``t_k`` and predicting for ``t_{k+1}``.  No iterate is kept.
     ``gap`` is ``f(entering; t_k) - f*(t_k)`` when an optimum oracle was
     consulted, else None.  ``f_corr`` is ``f(corrected; t_k)`` when the run
-    was asked to record it, else None.  A diverged run is truncated at the
-    step where the divergence was detected; there ``f_corr`` is NaN.
+    was asked to record it, else None.  A diverged run is truncated at
+    ``diverged_step``, the step where the divergence was detected; there
+    ``f_corr`` is NaN.
     """
 
     t: Array
@@ -114,13 +125,16 @@ class Trace:
     pred_seconds: Array
     corr_seconds: Array
     f_corr: Optional[Array]
-    diverged: bool = False
     diverged_step: Optional[int] = None
     algorithm: str = ""
     label: str = ""
 
     def __len__(self) -> int:
         return len(self.t)
+
+    @property
+    def diverged(self) -> bool:
+        return self.diverged_step is not None
 
 
 def correct(
@@ -292,11 +306,7 @@ def run(
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({problem.dim},)")
-    # An overflowing norm is the refusal below, so numpy's warning is silenced.
-    with np.errstate(over="ignore"):
-        x0_norm = _norm(x0)
-    if not math.isfinite(x0_norm):
-        raise ValueError("x0 must be finite, with a finite norm")
+    norm0 = x0_norm(x0)
 
     if compute_gap is None:
         want_gap = problem.optimum is not None
@@ -319,7 +329,7 @@ def run(
     h = grid.h
     guard = problem.domain_guard
     if guard is None:
-        guard = 1e8 * (1.0 + x0_norm)
+        guard = 1e8 * (1.0 + norm0)
     perf = time.perf_counter
 
     x_in = x0.copy()
@@ -385,7 +395,6 @@ def run(
         pred_seconds=pred_s[:end],
         corr_seconds=corr_s[:end],
         f_corr=cut(fc_arr),
-        diverged=diverged_at is not None,
         diverged_step=diverged_at,
         algorithm=algo,
         label=config.label,

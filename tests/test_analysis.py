@@ -30,7 +30,7 @@ from predcorr.solvers import Trace
 
 
 
-def fake_trace(grads, gaps=None, diverged=False, diverged_step=None, f_corr=None):
+def fake_trace(grads, gaps=None, diverged_step=None, f_corr=None):
     n = len(grads)
     return Trace(
         t=np.arange(n) * 0.1,
@@ -40,7 +40,6 @@ def fake_trace(grads, gaps=None, diverged=False, diverged_step=None, f_corr=None
         pred_seconds=np.zeros(n),
         corr_seconds=np.zeros(n),
         f_corr=None if f_corr is None else np.asarray(f_corr, dtype=float),
-        diverged=diverged,
         diverged_step=diverged_step,
         algorithm="tvgd",
     )
@@ -76,7 +75,7 @@ class TestTailStats:
         assert st.max_gap == 2.0 and st.mean_gap == 1.5
 
     def test_diverged_trace_raises_with_step(self):
-        tr = fake_trace([1.0, 2.0], diverged=True, diverged_step=1)
+        tr = fake_trace([1.0, 2.0], diverged_step=1)
         with pytest.raises(DivergedTraceError) as err:
             tail_stats(tr)
         assert err.value.step == 1

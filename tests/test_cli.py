@@ -22,7 +22,8 @@ from predcorr.cli import (
 )
 from predcorr.analysis import TailStats, summarize_sweep
 from predcorr.config import ConfigError, build_problem, parse_config, resolve_configs
-from predcorr.solvers import Trace
+from predcorr.core import ProblemConstants
+from predcorr.solvers import SolverConfig, Trace
 
 TOY_RUN = """
 [experiment]
@@ -168,6 +169,34 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="auto"):
             parse_config(path)
 
+    # a valid value other than the default for every SolverConfig field
+    SOLVER_VALUES = {
+        "algorithm": "cp", "C": 3, "beta": 0.5, "P": 4, "alpha": 0.25, "gamma": 0.75,
+        "zeta": 2.5, "delta": 1e-6, "g_choice": "extrapolated",
+    }
+
+    @pytest.mark.parametrize(
+        "key", [f.name for f in dataclasses.fields(SolverConfig) if f.name != "name"]
+    )
+    def test_every_solver_field_is_a_key(self, key):
+        value = self.SOLVER_VALUES[key]
+        assert value != getattr(SolverConfig("tvgd"), key, None)
+        section = {"algorithm": "tvgd", key: value}
+        text = TOY_RUN.split("[solver")[0] + "[solver s]\n" + "".join(
+            f"{k} = {v}\n" for k, v in section.items()
+        )
+        solver = parse_config(text, is_text=True).solvers[0]
+        assert getattr(solver, key) == value and type(getattr(solver, key)) is type(value)
+
+    @pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(ProblemConstants)])
+    def test_every_constant_is_a_key(self, key):
+        cfg = parse_config(TOY_RUN.replace("seed = 0", f"{key} = 0.5"), is_text=True)
+        assert getattr(cfg.constants, key) == 0.5
+        with pytest.raises(ConfigError, match=f"^{key} must be a finite number"):
+            parse_config(TOY_RUN.replace("seed = 0", f"{key} = -1"), is_text=True)
+        with pytest.raises(ValueError, match=f"^{key} must be >= 0"):
+            ProblemConstants(**{key: -1.0})
+
     def test_parse_roundtrip(self, tmp_path):
         cfg = parse_config(write_config(tmp_path, TOY_RUN))
         assert cfg.problem == "toy"
@@ -216,6 +245,11 @@ class TestMalformedNumbers:
              "a solver is already labelled 'foa_min'"),
             ("h = 0.1\nsteps = 50", "h = 0.1, 0.1, 0.05\nsteps = 50, 50, 50",
              "h lists 0.1 more than once"),
+            # an unknown [experiment] key is reported after every other
+            # error, so a misspelled required key reads as missing
+            ("steps = 50", "stpes = 100", "[experiment] needs both 'h' and 'steps'"),
+            ("problem = toy", "problm = toy", "unknown problem ''"),
+            ("seed = 0", "sede = 0\ncompute_gap = always", "compute_gap must be auto or never"),
         ],
     )
     def test_exit_1_with_one_error_line(self, tmp_path, capsys, old, new, key):
@@ -921,9 +955,6 @@ class TestRefusedBeforeAnyRun:
 
 
 class TestCheckTable:
-    def test_names_match_the_parse_time_list(self):
-        assert tuple(predcorr.cli.CHECKS) == predcorr.config.CHECK_NAMES
-
     def test_beta_rule_rows_need_l1_for_every_algorithm(self):
         for row in predcorr.cli.CHECKS.values():
             if row.beta_rule:

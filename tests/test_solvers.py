@@ -492,6 +492,32 @@ class TestClosedForm:
             assert abs(getattr(tail, stat) - value) <= 1e-10 * value, stat
 
 
+def test_tvgd_on_drifting_least_squares_matches_the_recursion():
+    """tvgd with C = 1 on ``linreg_drift`` is x <- x - beta a_k (a_k x - b_k),
+    with a_k = base (1 + 0.05 cos(t_k/200 + phi)), base 0.1 on the first five
+    coordinates and 10 on the rest, and b_k = 10 sin(t_k/100 + phi)."""
+    h, steps, beta = 0.1, 2000, 0.01
+    p = make_linreg("linreg_drift")
+    x0 = rng_from_seed(0).standard_normal(p.dim)
+    tr = run(p, SolverConfig(TVGD, C=1, beta=beta), TimeGrid(h, steps), x0)
+    assert not tr.diverged and len(tr) == steps
+
+    idx = np.arange(1, 11)
+    base = np.where(idx <= 5, 0.1, 10.0)
+    phi = 2.0 * np.pi * idx / 10.0
+    x = x0.copy()
+    f = np.empty(steps)
+    for k in range(steps):
+        t = k * h
+        a = base * (1.0 + 0.05 * np.cos(t / 200.0 + phi))
+        r = a * x - 10.0 * np.sin(t / 100.0 + phi)
+        f[k] = 0.5 * r.dot(r)
+        x = x - beta * a * r
+    assert np.all(np.abs(tr.f_pred - f) <= 1e-10 * f)
+    # the optimal value is 0, so the gap is the value
+    assert np.all(np.abs(tr.gap - f) <= 1e-10 * f)
+
+
 class TestCorrectedValue:
     """``f_corr``, the value at the corrected iterate, recorded on request."""
 
