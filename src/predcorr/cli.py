@@ -43,7 +43,7 @@ from .config import (
 from .core import MissingOracleError, ProblemOracle, TimeGrid, finite_difference_check, require
 from .problems import make_linreg, make_mf, make_robust, make_toy
 from .ratings import RatingsDataset, synth_ratings
-from .solvers import CP, FOA_MIN, TVGD, SolverConfig, Trace, require_oracles, run
+from .solvers import ALGORITHMS, CP, FOA_MIN, TVGD, SolverConfig, Trace, run
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -125,7 +125,7 @@ def _setup(config: ExperimentConfig, args, solvers: list[SolverConfig], oracles=
     problem = build_problem(config, dataset, h=config.grid[0][0])
     require(problem, *oracles)
     for solver in solvers:
-        require_oracles(problem, solver)
+        require(problem, *ALGORITHMS[solver.algorithm][1])
     x0 = build_x0(config, problem)
     return Setup(dataset, problem, resolve_steps(config, dataset), x0, args.jobs)
 
@@ -144,10 +144,12 @@ class RunJob:
 
 def _execute(job: RunJob) -> Trace:
     problem = build_problem(job.config, job.dataset, h=job.h)
-    return run(
-        problem, job.solver, TimeGrid(job.h, job.steps), job.x0,
-        compute_gap=job.gap, record_f_corr=job.f_corr,
-    )
+    # An overflow ends in a non-finite value or iterate: a reported divergence.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return run(
+            problem, job.solver, TimeGrid(job.h, job.steps), job.x0,
+            compute_gap=job.gap, record_f_corr=job.f_corr,
+        )
 
 
 def _execute_all(jobs: list[RunJob], n_jobs: int, fn=_execute) -> Iterator:

@@ -195,8 +195,6 @@ def filter_min_counts(ds: RatingsDataset, min_user: int = 0, min_item: int = 0) 
         if np.array_equal(new_keep, keep):
             break
         keep = new_keep
-    if not np.any(keep):
-        raise ValueError("filtering removed every rating")
     users, n_users = _dense_remap(ds.users[keep])
     items, n_items = _dense_remap(ds.items[keep])
     return RatingsDataset(

@@ -27,7 +27,6 @@ TVGD = "tvgd"
 UFOPC = "ufopc"
 FOA_MIN = "foa_min"
 CP = "cp"
-ALGORITHMS = (TVGD, UFOPC, FOA_MIN, CP)
 
 G_PLAIN = "plain"
 G_EXTRAPOLATED = "extrapolated"
@@ -81,7 +80,9 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
+            raise ValueError(
+                f"unknown algorithm {self.algorithm!r}; expected one of {tuple(ALGORITHMS)}"
+            )
         if self.C < 0:
             raise ValueError("C must be >= 0")
         if not 0 < self.beta < math.inf:
@@ -193,10 +194,10 @@ def predict_cauchy_point(
     if gn <= delta:
         return x
     q = float(g @ H(g))
-    if q <= 0.0:
+    try:
+        s = zeta * h if q <= 0.0 else min(gn**3 / q, zeta * h)
+    except OverflowError:   # ||g||^3 / q >= ||g|| / ||H||: far beyond the radius
         s = zeta * h
-    else:
-        s = min(gn**3 / q, zeta * h)
     return x - (s / gn) * g
 
 
@@ -230,9 +231,9 @@ def predict_ufopc(
     propagates), whatever ``y`` is.  So the loop returns a non-finite point
     exactly when a scan would have stopped it early, and the caller's guard
     test rejects that point.  numpy's overflow and invalid-value warnings
-    are silenced for the same reason.
+    are silenced for the same reason.  ``problem`` must provide ``hess_xx``
+    when P >= 1; ``run`` refuses one without it before the first step.
     """
-    require(problem, "hess_xx")
     if P == 0:
         return x
     g = problem.grad_x(x, t)
@@ -269,11 +270,25 @@ def g_select(
     return 2.0 * g - problem.grad_x(x, t - h)
 
 
-def require_oracles(problem: ProblemOracle, config: SolverConfig) -> None:
-    """Raise :class:`MissingOracleError` unless ``problem`` provides every
-    oracle ``config``'s algorithm calls: ufopc and cp read the Hessian."""
-    if config.algorithm in (UFOPC, CP):
-        require(problem, "hess_xx")
+def _predict_foa_min(problem, config, x_c, t, h, k):
+    g = g_select(problem, x_c, t, h, config.g_choice, first_step=k == 0)
+    return predict_foa_min(g, x_c, config.zeta, h, config.delta)
+
+
+def _predict_cp(problem, config, x_c, t, h, k):
+    g = g_select(problem, x_c, t, h, config.g_choice, first_step=k == 0)
+    return predict_cauchy_point(g, problem.hess_xx(x_c, t), x_c, config.zeta, h, config.delta)
+
+
+# algorithm -> (rule, optional oracles it reads).  rule(problem, config, x, t,
+# h, k) maps x, corrected at t = k h, to the point entering step k + 1.
+ALGORITHMS = {
+    TVGD: (lambda p, c, x, t, h, k: x, ()),
+    UFOPC: (lambda p, c, x, t, h, k: predict_ufopc(p, x, t, h, c.P, c.alpha, c.gamma),
+            ("hess_xx",)),
+    FOA_MIN: (_predict_foa_min, ()),
+    CP: (_predict_cp, ("hess_xx",)),
+}
 
 
 def run(
@@ -298,11 +313,12 @@ def run(
     per step.  At entry: the entering iterate is outside the domain guard,
     or its value or gradient norm is non-finite.  After the correction: the
     corrected point is outside the guard.  The guard is finite, so any NaN
-    or infinite coordinate fails it.  Before the first step, a missing
-    Hessian for ufopc or cp raises :class:`MissingOracleError`, and an x0
-    of the wrong shape or without a finite norm raises ``ValueError``.
+    or infinite coordinate fails it.  Before the first step, a missing oracle
+    that the ``ALGORITHMS`` row names raises :class:`MissingOracleError`, and
+    an x0 of the wrong shape or without a finite norm raises ``ValueError``.
     """
-    require_oracles(problem, config)
+    predict, oracles = ALGORITHMS[config.algorithm]
+    require(problem, *oracles)
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (problem.dim,):
         raise ValueError(f"x0 has shape {x0.shape}, expected ({problem.dim},)")
@@ -317,7 +333,6 @@ def run(
         want_gap = False
 
     n = grid.steps
-    t_arr = np.empty(n)
     f_arr = np.empty(n)
     gn_arr = np.empty(n)
     gap_arr = np.full(n, np.nan) if want_gap else None
@@ -325,7 +340,6 @@ def run(
     corr_s = np.zeros(n)
     fc_arr = np.full(n, np.nan) if record_f_corr else None
 
-    algo = config.algorithm
     h = grid.h
     guard = problem.domain_guard
     if guard is None:
@@ -336,7 +350,6 @@ def run(
     diverged_at: Optional[int] = None
     for k in range(n):
         t = grid.t(k)
-        t_arr[k] = t
         if not _norm(x_in) <= guard:
             if np.isfinite(x_in).all():
                 with np.errstate(all="ignore"):
@@ -366,21 +379,8 @@ def run(
             fc_arr[k] = problem.value(x_c, t)
 
         t0 = perf()
-        if algo == TVGD:
-            x_next = x_c
-        elif algo == UFOPC:
-            x_next = predict_ufopc(problem, x_c, t, h, config.P, config.alpha, config.gamma)
-        else:
-            g_k = g_select(
-                problem, x_c, t, h, config.g_choice, first_step=(k == 0)
-            )
-            if algo == FOA_MIN:
-                x_next = predict_foa_min(g_k, x_c, config.zeta, h, config.delta)
-            else:
-                H_k = problem.hess_xx(x_c, t)
-                x_next = predict_cauchy_point(g_k, H_k, x_c, config.zeta, h, config.delta)
+        x_in = predict(problem, config, x_c, t, h, k)
         pred_s[k] = perf() - t0
-        x_in = x_next
 
     end = n if diverged_at is None else diverged_at + 1
 
@@ -388,7 +388,7 @@ def run(
         return a[:end] if a is not None else None
 
     return Trace(
-        t=t_arr[:end],
+        t=grid.times()[:end],
         f_pred=f_arr[:end],
         grad_norm=gn_arr[:end],
         gap=cut(gap_arr),
@@ -396,6 +396,6 @@ def run(
         corr_seconds=corr_s[:end],
         f_corr=cut(fc_arr),
         diverged_step=diverged_at,
-        algorithm=algo,
+        algorithm=config.algorithm,
         label=config.label,
     )

@@ -451,6 +451,29 @@ class TestRunCommand:
             ["run", "--config", cfg, "--out", str(out), "--allow-divergence"]
         ) == EXIT_OK
 
+    def test_huge_gradient_cauchy_step_runs(self, tmp_path):
+        # ||g|| ~ 2e103 at x0, so ||g||^3 overflows a float in cp's step length
+        text = (
+            "[experiment]\nproblem = linreg_static\nh = 0.1\nsteps = 5\nx0 = 1e101\n"
+            "[solver cp]\nalgorithm = cp\nC = 1\nbeta = 0.001\nzeta = 2.5\n"
+        )
+        out = tmp_path / "out"
+        assert main(["run", "--config", write_config(tmp_path, text), "--out", str(out)]) == EXIT_OK
+        rows = (out / "cp.csv").read_text().strip().split("\n")[1:]
+        assert len(rows) == 5 and all(row.endswith(",0") for row in rows)
+
+    def test_overflow_is_one_divergence_line(self, tmp_path, capsys):
+        # ||a x0||^2 overflows at the first value: no numpy warning is printed
+        text = (
+            "[experiment]\nproblem = linreg_static\nh = 0.1\nsteps = 5\nx0 = 1e153\n"
+            "[solver tvgd]\nalgorithm = tvgd\nC = 1\nbeta = 0.01\n"
+        )
+        out = tmp_path / "out"
+        code = main(["run", "--config", write_config(tmp_path, text), "--out", str(out)])
+        assert code == EXIT_DIVERGED
+        err = capsys.readouterr().err.strip().split("\n")
+        assert err == ["[run] divergence detected (use --allow-divergence to accept)"]
+
     def test_usage_error_exit_code(self):
         assert main(["run", "--config", "no_such_preset"]) == EXIT_USAGE
 

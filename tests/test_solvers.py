@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predcorr import (
+    ALGORITHMS,
     CP,
     FOA_MIN,
     TVGD,
@@ -202,6 +203,13 @@ class TestPredictCauchyPoint:
         out = predict_cauchy_point(g, H.__matmul__, x, 1.0, 0.5, 1e-12)
         assert abs(out[0]) == pytest.approx(0.5, rel=1e-14)
 
+    def test_overflowing_step_length_takes_the_radius(self):
+        # ||g||^3 overflows a float; the model's minimizer lies far beyond zeta*h
+        out = predict_cauchy_point(
+            np.full(1, 1e103), np.ones(1).__mul__, np.zeros(1), 2.5, 0.1, 1e-10
+        )
+        assert np.array_equal(out, [-0.25])
+
     def test_guard_branch(self):
         x = np.array([1.0])
         out = predict_cauchy_point(np.array([1e-12]), np.ones(1).__mul__, x, 1.0, 1.0, 1e-10)
@@ -265,11 +273,6 @@ class TestPredictUfopc:
         expected = x - np.linalg.solve(np.diag([2.0, 3.0]), h * dtg)
         assert out == pytest.approx(expected, rel=1e-9)
 
-    def test_requires_hessian(self):
-        bare = replace(diag_quadratic([1.0]), hess_xx=None)
-        with pytest.raises(MissingOracleError):
-            predict_ufopc(bare, np.zeros(1), 0.0, 0.1, P=1, alpha=1.0, gamma=0.0)
-
 
 class TestGSelect:
     def test_plain_is_current_gradient(self):
@@ -318,11 +321,44 @@ class TestRun:
         assert np.array_equal(x_corr[0], x0)
         assert tr.f_pred[0] == p.value(x0, 0.0)
 
-    def test_tvgd_entering_point_is_previous_corrected(self):
-        toy = make_toy()
-        cfg = SolverConfig(algorithm=TVGD, C=1, beta=1.0)
-        _, x_pred, x_corr = run_iterates(toy, cfg, TimeGrid(0.1, 20), toy_x0())
-        assert np.array_equal(x_pred[1:], x_corr[:-1])
+    @pytest.mark.parametrize(
+        "problem, x0",
+        [(make_linreg("linreg_drift"), np.linspace(-2.0, 2.0, 10)), (make_toy(), toy_x0())],
+        ids=["linreg_drift", "toy"],
+    )
+    @pytest.mark.parametrize(
+        "config",
+        [
+            SolverConfig(TVGD, C=1, beta=0.01),
+            SolverConfig(UFOPC, C=1, beta=0.01, P=3, alpha=0.01, gamma=0.5),
+            SolverConfig(FOA_MIN, C=1, beta=0.01, zeta=2.5),
+            SolverConfig(FOA_MIN, C=1, beta=0.01, zeta=2.5, g_choice="extrapolated"),
+            SolverConfig(CP, C=1, beta=0.01, zeta=2.5),
+            SolverConfig(CP, C=1, beta=0.01, zeta=2.5, g_choice="extrapolated"),
+        ],
+        ids=["tvgd", "ufopc", "foa_min-plain", "foa_min-extrapolated", "cp-plain",
+             "cp-extrapolated"],
+    )
+    def test_entering_point_is_predicted(self, problem, x0, config):
+        """Each algorithm's table rule is its public predictor, applied to
+        the corrected point; an extrapolated gradient is plain at step 0."""
+        h = 0.1
+        tr, x_pred, x_corr = run_iterates(problem, config, TimeGrid(h, 20), x0)
+        assert not tr.diverged
+        for k, t in enumerate(tr.t[:-1]):
+            x = x_corr[k]
+            if config.algorithm == TVGD:
+                expected = x
+            elif config.algorithm == UFOPC:
+                expected = predict_ufopc(problem, x, t, h, config.P, config.alpha, config.gamma)
+            else:
+                g = g_select(problem, x, t, h, config.g_choice, first_step=k == 0)
+                if config.algorithm == FOA_MIN:
+                    expected = predict_foa_min(g, x, config.zeta, h, config.delta)
+                else:
+                    H = problem.hess_xx(x, t)
+                    expected = predict_cauchy_point(g, H, x, config.zeta, h, config.delta)
+            assert np.array_equal(x_pred[k + 1], expected)
 
     def test_run_is_deterministic(self):
         p = make_linreg("linreg_static")
@@ -392,12 +428,29 @@ class TestRun:
         _, moved, _ = run_iterates(shifted, cfg, grid, toy_x0() + 10.0 * delta)
         assert moved == pytest.approx(base + 10.0 * delta, abs=1e-9)
 
-    def test_missing_hessian_refused_before_first_step(self):
+    @pytest.mark.parametrize("algorithm", [UFOPC, CP])
+    def test_missing_hessian_refused_before_first_step(self, algorithm):
         ds = synth_ratings(6, 5, 60, 2, 0.1, seed=0)
         mf = make_mf(ds, latent_dim=2, reg=0.0, reveal_per_step=5, initial_revealed=20)
-        cfg = SolverConfig(algorithm=CP, C=1, beta=1.0, zeta=1.0)
-        with pytest.raises(MissingOracleError):
-            run(mf, cfg, TimeGrid(0.01, 4), np.zeros(mf.dim))
+        values = []
+        counted = replace(mf, value=lambda x, t: values.append(t) or mf.value(x, t))
+        cfg = SolverConfig(algorithm, C=1, beta=1.0, P=1, zeta=1.0)
+        with pytest.raises(MissingOracleError, match="hess_xx"):
+            run(counted, cfg, TimeGrid(0.01, 4), np.zeros(mf.dim))
+        assert values == []
+
+    @pytest.mark.parametrize("algorithm", list(ALGORITHMS))
+    def test_hessian_is_read_by_the_rows_that_name_it_only(self, algorithm):
+        def hess_xx(x, t):
+            raise LookupError("hess_xx was read")
+
+        p = replace(make_linreg("linreg_drift"), hess_xx=hess_xx)
+        cfg = SolverConfig(algorithm, C=1, beta=0.01, P=1, alpha=0.01, zeta=2.5)
+        if "hess_xx" in ALGORITHMS[algorithm][1]:
+            with pytest.raises(LookupError):
+                run(p, cfg, TimeGrid(0.1, 3), np.zeros(10))
+        else:
+            assert not run(p, cfg, TimeGrid(0.1, 3), np.zeros(10)).diverged
 
     def test_gap_recorded_for_closed_form(self):
         cfg = SolverConfig(algorithm=TVGD, C=1, beta=0.01)
