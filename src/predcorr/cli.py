@@ -254,15 +254,6 @@ def cmd_sweep(config: ExperimentConfig, args, multi: bool) -> int:
 # check
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CheckOutcome:
-    check: str
-    target: str
-    passed: bool
-    value: float
-    detail: str = ""
-
-
 def _fd_problem_suite():
     small = synth_ratings(n_users=12, n_items=9, n_ratings=300, latent_dim=3, noise_sd=0.2, seed=1)
     return [
@@ -275,7 +266,7 @@ def _fd_problem_suite():
     ]
 
 
-def check_gradients(config: ExperimentConfig, setup, solvers) -> list[CheckOutcome]:
+def check_gradients(config: ExperimentConfig, setup) -> list[tuple]:
     outcomes = []
     for problem in _fd_problem_suite():
         rep = finite_difference_check(problem, samples=8, seed=config.seed)
@@ -286,61 +277,35 @@ def check_gradients(config: ExperimentConfig, setup, solvers) -> list[CheckOutco
         else:
             ok &= rep.hess_xx_max_rel < HESS_TOL
             detail += f" hess {rep.hess_xx_max_rel:.2e}"
-        outcomes.append(CheckOutcome("gradients", problem.name, ok, rep.grad_x_max_rel, detail))
+        outcomes.append((problem.name, ok, rep.grad_x_max_rel, detail))
     return outcomes
 
 
-def _diverged(check: str, target: str, trace: Trace, h: float) -> CheckOutcome:
-    """A failed check whose own solver run diverged: nothing to measure."""
-    detail = f"run diverged at step {trace.diverged_step} (h={h:g})"
-    return CheckOutcome(check, target, False, math.nan, detail)
+def check_pl_envelope(config: ExperimentConfig, solver: SolverConfig, runs) -> tuple:
+    ((h, steps, trace),) = runs
+    g2 = config.g2(trace.f_pred)
+    cst = dataclasses.replace(config.constants, G2=g2)
+    viol = analysis.check_tvgd_pl_envelope(trace, cst, TimeGrid(h, steps))
+    scale = abs(trace.gap[0]) + analysis.envelope_limit(cst, h)
+    return viol <= analysis.bound_tol(scale), viol, f"G2={g2:.3g}"
 
 
-def check_pl_envelope(config: ExperimentConfig, setup: Setup, solvers) -> list[CheckOutcome]:
-    jobs = [
-        RunJob(config, setup.dataset, solver, h, steps, setup.x0, gap=True)
-        for h, steps in setup.grid
-        for solver in solvers
-    ]
-    outcomes = []
-    for trace, job in zip(_execute_all(jobs, setup.n_jobs), jobs):
-        target = f"{trace.label}@h={job.h:g}"
-        if trace.diverged:
-            outcomes.append(_diverged("pl_envelope", target, trace, job.h))
-            continue
-        g2 = config.g2(trace.f_pred)
-        cst = dataclasses.replace(config.constants, G2=g2)
-        viol = analysis.check_tvgd_pl_envelope(trace, cst, TimeGrid(job.h, job.steps))
-        scale = abs(trace.gap[0]) + analysis.envelope_limit(cst, job.h)
-        ok = viol <= analysis.bound_tol(scale)
-        outcomes.append(CheckOutcome("pl_envelope", target, ok, viol, f"G2={g2:.3g}"))
-    return outcomes
-
-
-def check_post_convergence(config: ExperimentConfig, setup: Setup, solvers) -> list[CheckOutcome]:
-    h, steps = setup.grid[0]
-    jobs = [RunJob(config, setup.dataset, s, h, steps, setup.x0, gap=True) for s in solvers]
-    outcomes = []
-    for trace, solver in zip(_execute_all(jobs, setup.n_jobs), solvers):
-        if trace.diverged:
-            outcomes.append(_diverged("post_convergence", solver.label, trace, h))
-            continue
-        cst = dataclasses.replace(config.constants, G2=config.g2(trace.f_pred))
-        thr = analysis.stationarity_threshold(
-            solver.algorithm, cst, h, zeta=solver.zeta, delta=solver.delta
-        )
-        rep = analysis.check_post_convergence(
-            trace, thr, cst, h, solver.algorithm, zeta=solver.zeta, delta=solver.delta
-        )
-        detail = (
-            f"threshold {thr:.4g}, first crossing {rep.first_crossing}, "
-            f"{len(rep.violations)} violations / {rep.checked} checked"
-        )
-        if not rep.converged:
-            detail = f"threshold {thr:.4g} never crossed"
-        value = float(len(rep.violations))
-        outcomes.append(CheckOutcome("post_convergence", solver.label, rep.ok, value, detail))
-    return outcomes
+def check_post_convergence(config: ExperimentConfig, solver: SolverConfig, runs) -> tuple:
+    ((h, _, trace),) = runs
+    cst = dataclasses.replace(config.constants, G2=config.g2(trace.f_pred))
+    thr = analysis.stationarity_threshold(
+        solver.algorithm, cst, h, zeta=solver.zeta, delta=solver.delta
+    )
+    rep = analysis.check_post_convergence(
+        trace, thr, cst, h, solver.algorithm, zeta=solver.zeta, delta=solver.delta
+    )
+    detail = (
+        f"threshold {thr:.4g}, first crossing {rep.first_crossing}, "
+        f"{len(rep.violations)} violations / {rep.checked} checked"
+    )
+    if not rep.converged:
+        detail = f"threshold {thr:.4g} never crossed"
+    return rep.ok, float(len(rep.violations)), detail
 
 
 # Expected prediction-gap ratio under period halving: first order for the
@@ -348,44 +313,29 @@ def check_post_convergence(config: ExperimentConfig, setup: Setup, solvers) -> l
 _RATIO_WINDOWS = {TVGD: (1.6, 2.4), FOA_MIN: (3.0, 5.0), CP: (3.0, 5.0)}
 
 
-def check_prediction_gap(config: ExperimentConfig, setup: Setup, solvers) -> list[CheckOutcome]:
-    """Run each solver at h and h/2, one pair at a time, and compare their
-    largest prediction increases.  The ratio reads predictions only, so no
-    gap is recorded."""
-    h, steps = setup.grid[0]
-    outcomes = []
-    for solver in solvers:
-        tr_c, tr_f = _execute_all([
-            RunJob(config, setup.dataset, solver, period, steps, setup.x0, gap=False, f_corr=True)
-            for period in (h, h / 2)
-        ], setup.n_jobs)
-        if tr_c.diverged or tr_f.diverged:
-            tr, h_run = (tr_c, h) if tr_c.diverged else (tr_f, h / 2)
-            outcomes.append(_diverged("prediction_gap", solver.label, tr, h_run))
-            continue
-        rep = analysis.check_prediction_gap(tr_c, tr_f)
-        lo, hi = _RATIO_WINDOWS[solver.algorithm]
-        detail = (
-            f"max increase {rep.increase_coarse:.3e} (h={h:g}) vs "
-            f"{rep.increase_fine:.3e} (h={h/2:g}), window [{lo}, {hi}]"
-        )
-        ok = lo <= rep.ratio <= hi
-        outcomes.append(CheckOutcome("prediction_gap", solver.label, ok, rep.ratio, detail))
-    return outcomes
+def check_prediction_gap(config: ExperimentConfig, solver: SolverConfig, runs) -> tuple:
+    """Compare the largest prediction increases of the runs at h and h/2."""
+    (h, _, coarse), (h_fine, _, fine) = runs
+    rep = analysis.check_prediction_gap(coarse, fine)
+    lo, hi = _RATIO_WINDOWS[solver.algorithm]
+    detail = (
+        f"max increase {rep.increase_coarse:.3e} (h={h:g}) vs "
+        f"{rep.increase_fine:.3e} (h={h_fine:g}), window [{lo}, {hi}]"
+    )
+    return lo <= rep.ratio <= hi, rep.ratio, detail
 
 
-def check_lipschitz_optimum(config: ExperimentConfig, setup: Setup, solvers) -> list[CheckOutcome]:
+def check_lipschitz_optimum(config: ExperimentConfig, setup: Setup) -> list[tuple]:
     g2 = config.constants.G2
     h, steps = setup.grid[0]
     viol = analysis.check_lipschitz_optimum(setup.problem, TimeGrid(h, steps), g2)
     ok = viol <= analysis.bound_tol(g2 * h)
-    return [CheckOutcome("lipschitz_optimum", config.problem, ok, viol, f"G2={g2:g}")]
+    return [(config.problem, ok, viol, f"G2={g2:g}")]
 
 
-def check_ratio_bound(config: ExperimentConfig, setup, solvers) -> list[CheckOutcome]:
+def check_ratio_bound(config: ExperimentConfig, setup) -> list[tuple]:
     worst = analysis.ratio_bound_selftest(trials=config.trials, seed=config.seed)
-    ok = worst <= analysis.ABS_TOL
-    return [CheckOutcome("ratio_bound", f"{config.trials} trials", ok, worst)]
+    return [(f"{config.trials} trials", worst <= analysis.ABS_TOL, worst, "")]
 
 
 @dataclass(frozen=True)
@@ -394,31 +344,37 @@ class Check:
     an algorithm in ``solvers`` and needs one; ``cmd_check`` refuses a
     config that lacks anything a planned row needs before any run."""
 
-    measure: Callable            # (config, setup, solvers) -> list of CheckOutcome
+    # With solvers: (config, solver, [(h, steps, trace), ...]) -> (passed, value,
+    # detail), per solver and ``periods`` group.  Without: (config, setup) ->
+    # [(target, passed, value, detail), ...].
+    measure: Callable
     solvers: dict = field(default_factory=dict)  # algorithm -> constants its bound reads
     constants: tuple = ()        # read as set in the config: a G2 rule does not count
     beta_rule: bool = False      # the bound holds for beta = 1/L1 only, so L1 is read
     oracles: tuple = ()          # problem oracles read besides the solvers' own
     min_steps: int = 1           # the fewest steps of the first period
-    setup: bool = True           # False: runs on fixed inputs of its own
+    periods: str = ""            # each measure reads one run at every grid period,
+                                 # at the first, or at the first and its half
     stream: bool = True          # False: refused on a ratings stream, which
                                  # reveals the same ratings per step whatever h is
 
 
 CHECKS = {
-    "gradients": Check(check_gradients, setup=False),
+    "gradients": Check(check_gradients),
     "lipschitz_optimum": Check(check_lipschitz_optimum, constants=("G2",), oracles=("optimum",)),
     "pl_envelope": Check(
-        check_pl_envelope, {TVGD: ("mu", "L1", "G2")}, beta_rule=True, oracles=("optimum",)
+        check_pl_envelope, {TVGD: ("mu", "L1", "G2")}, beta_rule=True, oracles=("optimum",),
+        periods="every",
     ),
     "post_convergence": Check(
         check_post_convergence, {TVGD: ("L1", "G2"), FOA_MIN: ("L1", "L2", "L3")},
-        beta_rule=True, oracles=("optimum",),
+        beta_rule=True, oracles=("optimum",), periods="first",
     ),
     "prediction_gap": Check(
-        check_prediction_gap, dict.fromkeys(_RATIO_WINDOWS, ()), min_steps=2, stream=False
+        check_prediction_gap, dict.fromkeys(_RATIO_WINDOWS, ()), min_steps=2,
+        periods="halved", stream=False,
     ),
-    "ratio_bound": Check(check_ratio_bound, setup=False),
+    "ratio_bound": Check(check_ratio_bound),
 }
 
 
@@ -454,6 +410,13 @@ def _select(name: str, row: Check, config: ExperimentConfig) -> list[SolverConfi
     return solvers
 
 
+def _groups(row: Check, grid) -> list[list[tuple[float, int]]]:
+    """The (h, steps) of the runs of one solver that each measure reads."""
+    first, (h, steps) = grid[:1], grid[0]
+    return {"every": [[period] for period in grid], "first": [first],
+            "halved": [first + [(h / 2, steps)]]}.get(row.periods, [])
+
+
 def cmd_check(config: ExperimentConfig, args, multi: bool) -> int:
     if not config.checks:
         raise ConfigError("check command needs a 'checks = ...' key in [experiment]")
@@ -461,7 +424,7 @@ def cmd_check(config: ExperimentConfig, args, multi: bool) -> int:
     rows = [(name, CHECKS[name]) for name in config.checks]
     plan = [_select(name, row, config) for name, row in rows]
     setup = None
-    if any(row.setup for _, row in rows):
+    if any(row.solvers or row.oracles for _, row in rows):
         planned = [solver for solvers in plan for solver in solvers]
         oracles = sorted({oracle for _, row in rows for oracle in row.oracles})
         setup = _setup(config, args, planned, oracles)
@@ -476,18 +439,41 @@ def cmd_check(config: ExperimentConfig, args, multi: bool) -> int:
                     f"{name} is not defined on {config.problem}: the ratings stream "
                     "reveals the same ratings per step at h and h/2"
                 )
-    outcomes: list[CheckOutcome] = []
-    for (_, row), solvers in zip(rows, plan):
-        outcomes += row.measure(config, setup, solvers)
+            for period in (p for group in _groups(row, setup.grid) for p, _ in group):
+                if not period > 0:   # h/2 of the least subnormal h
+                    raise ConfigError(f"{name} would run at h = {period:g}, which is not > 0")
+
+    outcomes = []    # (check, target, passed, value, detail)
+    for (name, row), solvers in zip(rows, plan):
+        if not row.solvers:
+            outcomes += [(name, *outcome) for outcome in row.measure(config, setup)]
+            continue
+        # A row that reads the optimum records gaps; a halved period, f_corr.
+        measured = [(solver, group) for group in _groups(row, setup.grid) for solver in solvers]
+        traces = _execute_all([
+            RunJob(config, setup.dataset, solver, h, steps, setup.x0,
+                   gap="optimum" in row.oracles, f_corr=row.periods == "halved")
+            for solver, group in measured for h, steps in group
+        ], setup.n_jobs)
+        for solver, group in measured:
+            runs = [(h, steps, next(traces)) for h, steps in group]
+            target = solver.label + (f"@h={group[0][0]:g}" if row.periods == "every" else "")
+            diverged = [(h, trace) for h, _, trace in runs if trace.diverged]
+            if diverged:
+                h, trace = diverged[0]
+                detail = f"run diverged at step {trace.diverged_step} (h={h:g})"
+                outcomes.append((name, target, False, math.nan, detail))
+            else:
+                outcomes.append((name, target, *row.measure(config, solver, runs)))
 
     out = _out_dir(config, args, multi)
     lines = [CHECKS_HEADER]
     all_ok = True
-    for oc in outcomes:
-        all_ok &= oc.passed
-        status = "pass" if oc.passed else "FAIL"
-        lines.append(f"{oc.check},{oc.target},{status},{_fmt(oc.value)},{oc.detail}")
-        print(f"[check] {status:<4} {oc.check:<18} {oc.target:<22} value={oc.value:.3e}  {oc.detail}")
+    for check, target, passed, value, detail in outcomes:
+        all_ok &= passed
+        status = "pass" if passed else "FAIL"
+        lines.append(f"{check},{target},{status},{_fmt(value)},{detail}")
+        print(f"[check] {status:<4} {check:<18} {target:<22} value={value:.3e}  {detail}")
     _write_atomic(out / "checks.csv", "\n".join(lines) + "\n")
     print(f"[check] wrote {out / 'checks.csv'}")
     return EXIT_OK if all_ok else EXIT_CHECK_FAILED

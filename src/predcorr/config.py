@@ -118,11 +118,16 @@ def check_seed(key: str, seed: int) -> int:
     return seed
 
 
+def _once(key: str, values: list) -> list:
+    """Refuse a list that names one value twice: it would repeat work and output."""
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise ConfigError(f"{key} lists {value!r} more than once")
+    return values
+
+
 def _parse_grid(h_text: str, steps_text: str) -> list[tuple[float, object]]:
-    hs = [_number("h", v, low=0, strict=True) for v in h_text.split(",") if v.strip()]
-    for i, h in enumerate(hs):
-        if h in hs[:i]:
-            raise ConfigError(f"h lists {h!r} more than once")
+    hs = _once("h", [_number("h", v, low=0, strict=True) for v in h_text.split(",") if v.strip()])
     steps_items = [s.strip() for s in steps_text.split(",") if s.strip() != ""]
     if len(hs) != len(steps_items):
         raise ConfigError(f"h lists {len(hs)} values but steps lists {len(steps_items)}")
@@ -173,7 +178,7 @@ def parse_config(path_or_text, is_text: bool = False, source: str = "") -> Exper
         raise ConfigError(f"timing must be zero or live, got {timing!r}")
 
     # the command line tests check names against cli.CHECKS
-    checks = [c.strip() for c in exp.pop("checks", "").split(",") if c.strip()]
+    checks = _once("checks", [c.strip() for c in exp.pop("checks", "").split(",") if c.strip()])
 
     def num(key, default, cast=float, low=None, strict=False):
         return _number(key, exp.pop(key, default), cast, low, strict)

@@ -245,6 +245,9 @@ class TestMalformedNumbers:
              "a solver is already labelled 'foa_min'"),
             ("h = 0.1\nsteps = 50", "h = 0.1, 0.1, 0.05\nsteps = 50, 50, 50",
              "h lists 0.1 more than once"),
+            # a check named twice would run and write its rows twice
+            ("seed = 0", "seed = 0\nchecks = ratio_bound, gradients, ratio_bound",
+             "checks lists 'ratio_bound' more than once"),
             # an unknown [experiment] key is reported after every other
             # error, so a misspelled required key reads as missing
             ("steps = 50", "stpes = 100", "[experiment] needs both 'h' and 'steps'"),
@@ -538,6 +541,31 @@ delta = 1e-10
 """
 
 
+@pytest.fixture
+def in_process_pool(monkeypatch):
+    """Replace the process pool by one that maps in this process; returns the
+    worker counts asked for and the values the workers would send back."""
+    asked, returned = [], []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            results = list(map(fn, jobs))   # what a worker would pickle back
+            returned.extend(results)
+            return iter(results)
+
+    monkeypatch.setattr(predcorr.cli, "ProcessPoolExecutor", InProcessPool)
+    return asked, returned
+
+
 class TestSweepCommand:
     def test_sweep_outputs(self, tmp_path):
         cfg = write_config(tmp_path, SWEEP_SMALL)
@@ -561,25 +589,8 @@ class TestSweepCommand:
                 assert code == EXIT_OK
             assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
 
-    def test_pool_is_capped_at_the_job_count(self, tmp_path, monkeypatch):
-        asked, returned = [], []
-
-        class InProcessPool:
-            def __init__(self, max_workers):
-                asked.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                # what a worker would pickle back to the parent
-                returned.extend(map(fn, jobs))
-                return iter(returned)
-
-        monkeypatch.setattr(predcorr.cli, "ProcessPoolExecutor", InProcessPool)
+    def test_pool_is_capped_at_the_job_count(self, tmp_path, in_process_pool):
+        asked, returned = in_process_pool
         two_runs = SWEEP_SMALL.replace("h = 0.2, 0.1, 0.05\nsteps = 400, 800, 1600",
                                        "h = 0.2, 0.1\nsteps = 40, 80")
         cfg = write_config(tmp_path, two_runs)
@@ -846,6 +857,17 @@ beta = 1.0
         assert serial == parallel
         assert serial.count(b"\n") == 1 + 4 + 4 + 3   # header, then the rows of each check
 
+    def test_check_row_runs_in_one_pool(self, tmp_path, in_process_pool):
+        # h and h/2 of all three solvers share one pool of 6 workers
+        asked, returned = in_process_pool
+        cfg = write_config(tmp_path, CHECK_PREDICTION_GAP)
+        code = main(["check", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "8"])
+        assert code == EXIT_OK
+        assert asked == [6]
+        labels = ["tvgd", "tvgd", "foa_min", "foa_min", "cp", "cp"]
+        assert [trace.label for trace in returned] == labels
+        assert [trace.t[1] for trace in returned] == [0.05, 0.025] * 3
+
     def test_missing_checks_key_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, TOY_RUN)
         assert main(["check", "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_USAGE
@@ -964,6 +986,12 @@ class TestRefusedBeforeAnyRun:
         assert err == "error: problem 'mf' does not provide: optimum"
         assert starts == []   # refused before the warm start too
 
+    def test_halved_period_must_be_positive(self, tmp_path, capsys, monkeypatch):
+        # half the least subnormal period rounds to 0
+        text = CHECK_PREDICTION_GAP.replace("h = 0.05", "h = 5e-324")
+        err = self.refused(tmp_path, capsys, monkeypatch, "check", text)
+        assert err == "error: prediction_gap would run at h = 0, which is not > 0"
+
     @pytest.mark.parametrize("problem", ["toy", "mf_synth"])
     def test_prediction_gap_needs_two_steps(self, tmp_path, capsys, monkeypatch, problem):
         if problem == "toy":
@@ -982,6 +1010,11 @@ class TestCheckTable:
         for row in predcorr.cli.CHECKS.values():
             if row.beta_rule:
                 assert row.solvers and all("L1" in keys for keys in row.solvers.values())
+
+    def test_rows_with_solvers_and_only_they_declare_periods(self):
+        # a row with solvers but no periods would run nothing and report nothing
+        for row in predcorr.cli.CHECKS.values():
+            assert bool(row.solvers) == bool(predcorr.cli._groups(row, [(0.1, 2)]))
 
 
 # One numeric key replaced by a token from a fixed set.  The set holds no
