@@ -30,11 +30,13 @@ import numpy as np
 
 from . import analysis
 from .config import (
+    PROBLEMS,
     ConfigError,
     ExperimentConfig,
     available_presets,
     build_problem,
     build_x0,
+    check_ratings,
     check_seed,
     load_dataset,
     resolve_configs,
@@ -341,8 +343,8 @@ def check_ratio_bound(config: ExperimentConfig, setup) -> list[tuple]:
 @dataclass(frozen=True)
 class Check:
     """One row of the check table.  A check runs every configured solver of
-    an algorithm in ``solvers`` and needs one; ``cmd_check`` refuses a
-    config that lacks anything a planned row needs before any run."""
+    an algorithm in ``solvers`` and needs one; ``_select`` and ``_setup``
+    refuse a config that lacks anything a planned row needs before any run."""
 
     # With solvers: (config, solver, [(h, steps, trace), ...]) -> (passed, value,
     # detail), per solver and ``periods`` group.  Without: (config, setup) ->
@@ -352,11 +354,8 @@ class Check:
     constants: tuple = ()        # read as set in the config: a G2 rule does not count
     beta_rule: bool = False      # the bound holds for beta = 1/L1 only, so L1 is read
     oracles: tuple = ()          # problem oracles read besides the solvers' own
-    min_steps: int = 1           # the fewest steps of the first period
     periods: str = ""            # each measure reads one run at every grid period,
                                  # at the first, or at the first and its half
-    stream: bool = True          # False: refused on a ratings stream, which
-                                 # reveals the same ratings per step whatever h is
 
 
 CHECKS = {
@@ -371,8 +370,7 @@ CHECKS = {
         beta_rule=True, oracles=("optimum",), periods="first",
     ),
     "prediction_gap": Check(
-        check_prediction_gap, dict.fromkeys(_RATIO_WINDOWS, ()), min_steps=2,
-        periods="halved", stream=False,
+        check_prediction_gap, dict.fromkeys(_RATIO_WINDOWS, ()), periods="halved"
     ),
     "ratio_bound": Check(check_ratio_bound),
 }
@@ -407,6 +405,20 @@ def _select(name: str, row: Check, config: ExperimentConfig) -> list[SolverConfi
                 f"{name}: {solver.label} has beta = {solver.beta}, but the bound holds "
                 f"for beta = 1/L1 = {1.0 / L1}"
             )
+    if row.periods == "halved":
+        # A stream reveals the same ratings per step at h and h/2, and the pair
+        # is compared through the prediction increase between two steps.
+        if PROBLEMS[config.problem].load is not None:
+            raise ConfigError(
+                f"{name} is not defined on {config.problem}: the ratings stream "
+                "reveals the same ratings per step at h and h/2"
+            )
+        h, steps = config.grid[0]   # steps = auto is refused off a stream
+        if steps < 2:
+            raise ConfigError(f"{name} needs at least 2 steps at h = {h:g}, got {steps}")
+    for period in (p for group in _groups(row, config.grid) for p, _ in group):
+        if not period > 0:   # h/2 of the least subnormal h
+            raise ConfigError(f"{name} would run at h = {period:g}, which is not > 0")
     return solvers
 
 
@@ -420,7 +432,7 @@ def _groups(row: Check, grid) -> list[list[tuple[float, int]]]:
 def cmd_check(config: ExperimentConfig, args, multi: bool) -> int:
     if not config.checks:
         raise ConfigError("check command needs a 'checks = ...' key in [experiment]")
-    # Every configuration a check refuses is refused before any solver runs.
+    # _select refuses what the INI alone rules out, _setup a missing oracle: no run starts.
     rows = [(name, CHECKS[name]) for name in config.checks]
     plan = [_select(name, row, config) for name, row in rows]
     setup = None
@@ -428,20 +440,6 @@ def cmd_check(config: ExperimentConfig, args, multi: bool) -> int:
         planned = [solver for solvers in plan for solver in solvers]
         oracles = sorted({oracle for _, row in rows for oracle in row.oracles})
         setup = _setup(config, args, planned, oracles)
-        h, steps = setup.grid[0]
-        for name, row in rows:
-            if steps < row.min_steps:
-                raise ConfigError(
-                    f"{name} needs at least {row.min_steps} steps at h = {h:g}, got {steps}"
-                )
-            if not row.stream and setup.dataset is not None:
-                raise ConfigError(
-                    f"{name} is not defined on {config.problem}: the ratings stream "
-                    "reveals the same ratings per step at h and h/2"
-                )
-            for period in (p for group in _groups(row, setup.grid) for p, _ in group):
-                if not period > 0:   # h/2 of the least subnormal h
-                    raise ConfigError(f"{name} would run at h = {period:g}, which is not > 0")
 
     outcomes = []    # (check, target, passed, value, detail)
     for (name, row), solvers in zip(rows, plan):
@@ -521,6 +519,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
         configs = resolve_configs(args.config)
         for config in configs:
+            check_ratings(config, args.ratings)
             for name in config.checks:
                 if name not in CHECKS:
                     raise ConfigError(f"unknown check {name!r}; expected one of {tuple(CHECKS)}")

@@ -363,6 +363,12 @@ PROBLEMS: dict[str, ProblemSpec] = {
 }
 
 
+def check_ratings(config: ExperimentConfig, ratings_path) -> None:
+    """Refuse a ratings file for a problem that reads none: it would be ignored."""
+    if ratings_path is not None and PROBLEMS[config.problem].load is not _load_ratings_file:
+        raise ConfigError(f"--ratings is read by mf_file only, not by {config.problem}")
+
+
 def load_dataset(config: ExperimentConfig, ratings_path=None) -> Optional[RatingsDataset]:
     """The configured problem's dataset (None for problems without one)."""
     load = PROBLEMS[config.problem].load

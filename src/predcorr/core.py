@@ -53,10 +53,6 @@ class TimeGrid:
         """All step times ``0, h, 2h, ..., (steps-1)h``."""
         return np.arange(self.steps) * self.h
 
-    @property
-    def horizon(self) -> float:
-        return self.steps * self.h
-
 
 @dataclass(frozen=True)
 class ProblemOracle:

@@ -581,11 +581,11 @@ class TestSweepCommand:
     def test_sweep_parallel_matches_serial(self, tmp_path):
         # The mf_file input ships its loaded dataset to the worker processes.
         ratings = ["--ratings", write_ratings(tmp_path)]
-        for name, text in (("linreg", SWEEP_SMALL), ("mf_file", MF_FILE_SWEEP)):
+        for name, text, extra in (("linreg", SWEEP_SMALL, []), ("mf_file", MF_FILE_SWEEP, ratings)):
             cfg = write_config(tmp_path, text, name=f"{name}.ini")
             out_a, out_b = tmp_path / name / "a", tmp_path / name / "b"
             for out, jobs in ((out_a, "1"), (out_b, "3")):
-                code = main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs] + ratings)
+                code = main(["sweep", "--config", cfg, "--out", str(out), "--jobs", jobs] + extra)
                 assert code == EXIT_OK
             assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
 
@@ -922,14 +922,29 @@ class TestRefusedBeforeAnyRun:
         assert len(err) == 1 and err[0].startswith("error: ")
         return err[0]
 
+    @staticmethod
+    def strip_hessian(monkeypatch):
+        """Make the command build its problems without ``hess_xx``."""
+        build = predcorr.cli.build_problem
+        monkeypatch.setattr(
+            predcorr.cli, "build_problem",
+            lambda *a, **kw: dataclasses.replace(build(*a, **kw), hess_xx=None),
+        )
+
     @pytest.mark.parametrize("verb", ["run", "sweep", "check"])
     def test_missing_hessian(self, tmp_path, capsys, monkeypatch, verb):
         # the cp solver is listed after tvgd, which alone could run
-        text = MF_SYNTH_RUN.replace("h = 0.01\nsteps = 3", "h = 0.01, 0.02, 0.04\nsteps = 3, 3, 3")
-        text = text.replace("compute_gap = never", "compute_gap = never\nchecks = prediction_gap")
-        text += "\n[solver cp]\nalgorithm = cp\nC = 1\nbeta = 5\nzeta = 1\n"
+        if verb == "check":
+            # prediction_gap is refused on a ratings stream before any oracle
+            # is read, so it meets the missing Hessian on a toy stripped of it
+            self.strip_hessian(monkeypatch)
+            text, problem = CHECK_PREDICTION_GAP, "toy"
+        else:
+            text = MF_SYNTH_RUN.replace("h = 0.01\nsteps = 3", "h = 0.01, 0.02, 0.04\nsteps = 3, 3, 3")
+            text += "\n[solver cp]\nalgorithm = cp\nC = 1\nbeta = 5\nzeta = 1\n"
+            problem = "mf"
         err = self.refused(tmp_path, capsys, monkeypatch, verb, text)
-        assert err == "error: problem 'mf' does not provide: hess_xx"
+        assert err == f"error: problem '{problem}' does not provide: hess_xx"
 
     @pytest.mark.parametrize("problem, checks", [
         ("mf_synth", "prediction_gap"),
@@ -944,21 +959,40 @@ class TestRefusedBeforeAnyRun:
         base, extra = MF_SYNTH_RUN, ()
         if problem == "mf_file":
             base, extra = MF_FILE_SWEEP, ("--ratings", write_ratings(tmp_path))
+        # the INI alone rules the check out, so no ratings are read or drawn
+        # and the warm start, the slow part of an mf set-up, never begins
+        calls = []
+        for name in ("load_dataset", "build_x0"):
+            real = getattr(predcorr.cli, name)
+            monkeypatch.setattr(
+                predcorr.cli, name, lambda *a, name=name, real=real: calls.append(name) or real(*a)
+            )
         text = base.replace("compute_gap = never", f"compute_gap = never\nchecks = {checks}")
         err = self.refused(tmp_path, capsys, monkeypatch, "check", text, *extra)
         assert err == (
             f"error: prediction_gap is not defined on {problem}: the ratings stream "
             "reveals the same ratings per step at h and h/2"
         )
+        assert calls == []
+
+    @pytest.mark.parametrize("verb, problem", [
+        ("run", "mf_synth"), ("sweep", "linreg_static"),
+        # a check that builds no problem
+        ("check", "toy"),
+    ])
+    def test_ratings_file_refused_where_no_problem_reads_it(
+        self, tmp_path, capsys, monkeypatch, verb, problem
+    ):
+        text = {"mf_synth": MF_SYNTH_RUN, "linreg_static": SWEEP_SMALL,
+                "toy": TOY_RUN.replace("seed = 0", "seed = 0\nchecks = ratio_bound")}[problem]
+        missing = str(tmp_path / "no_such_dir" / "ratings.csv")
+        err = self.refused(tmp_path, capsys, monkeypatch, verb, text, "--ratings", missing)
+        assert err == f"error: --ratings is read by mf_file only, not by {problem}"
 
     def test_check_needs_oracles_of_its_planned_solvers_only(self, tmp_path, monkeypatch):
         # prediction_gap has no window for ufopc, so a toy stripped of its
         # Hessian still runs the check on tvgd
-        build = predcorr.cli.build_problem
-        monkeypatch.setattr(
-            predcorr.cli, "build_problem",
-            lambda *a, **kw: dataclasses.replace(build(*a, **kw), hess_xx=None),
-        )
+        self.strip_hessian(monkeypatch)
         text = CHECK_PREDICTION_GAP.split("[solver foa_min]")[0]
         text += "[solver ufopc]\nalgorithm = ufopc\nC = 1\nbeta = 1.0\nP = 1\n"
         out = tmp_path / "o"
@@ -968,9 +1002,9 @@ class TestRefusedBeforeAnyRun:
         assert [r.split(",")[1] for r in rows] == ["tvgd"]
 
     @pytest.mark.parametrize("checks", [
-        "prediction_gap, pl_envelope",
-        "prediction_gap, post_convergence",
-        "prediction_gap, lipschitz_optimum",
+        "ratio_bound, pl_envelope",
+        "ratio_bound, post_convergence",
+        "ratio_bound, lipschitz_optimum",
     ])
     def test_missing_optimum(self, tmp_path, capsys, monkeypatch, checks):
         # every constant is set and tvgd takes the step 1/L1, so only the
@@ -992,17 +1026,14 @@ class TestRefusedBeforeAnyRun:
         err = self.refused(tmp_path, capsys, monkeypatch, "check", text)
         assert err == "error: prediction_gap would run at h = 0, which is not > 0"
 
-    @pytest.mark.parametrize("problem", ["toy", "mf_synth"])
+    @pytest.mark.parametrize("problem", ["toy", "linreg_static"])
     def test_prediction_gap_needs_two_steps(self, tmp_path, capsys, monkeypatch, problem):
-        if problem == "toy":
-            text = CHECK_PREDICTION_GAP.replace("steps = 200", "steps = 1")
-        else:
-            # the initial reveal is the whole stream, so auto resolves to 1
-            text = MF_SYNTH_RUN.replace("steps = 3", "steps = auto").replace(
-                "mf_initial_revealed = 200", "mf_initial_revealed = 400"
-            ).replace("compute_gap = never", "compute_gap = never\nchecks = prediction_gap")
+        # an x0 of the wrong length, which the set-up would refuse: the step
+        # count is read from the INI first
+        text = CHECK_PREDICTION_GAP.replace("steps = 200", "steps = 1").replace(
+            "problem = toy", f"problem = {problem}").replace("x0 = 2.5", "x0 = 1, 2")
         err = self.refused(tmp_path, capsys, monkeypatch, "check", text)
-        assert err.startswith("error: prediction_gap needs at least 2 steps") and err.endswith("got 1")
+        assert err == "error: prediction_gap needs at least 2 steps at h = 0.05, got 1"
 
 
 class TestCheckTable:

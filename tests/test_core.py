@@ -39,9 +39,6 @@ class TestTimeGrid:
         with pytest.raises(ValueError):
             TimeGrid(h=0.1, steps=0)
 
-    def test_horizon(self):
-        assert TimeGrid(h=0.5, steps=4).horizon == 2.0
-
 
 class TestProblemConstants:
     def test_rho(self):
