@@ -116,7 +116,6 @@ class Setup:
     problem: ProblemOracle                 # built at the first period
     grid: list[tuple[float, int]]          # step counts resolved
     x0: np.ndarray
-    n_jobs: int                            # processes for the solver runs
 
 
 def _setup(config: ExperimentConfig, args, solvers: list[SolverConfig], oracles=()) -> Setup:
@@ -129,7 +128,7 @@ def _setup(config: ExperimentConfig, args, solvers: list[SolverConfig], oracles=
     for solver in solvers:
         require(problem, *ALGORITHMS[solver.algorithm][1])
     x0 = build_x0(config, problem)
-    return Setup(dataset, problem, resolve_steps(config, dataset), x0, args.jobs)
+    return Setup(dataset, problem, resolve_steps(config, dataset), x0)
 
 
 @dataclass
@@ -183,7 +182,7 @@ def cmd_run(config: ExperimentConfig, args, multi: bool) -> int:
     ]
     out = _out_dir(config, args, multi)
     any_diverged = False
-    for trace in _execute_all(jobs, setup.n_jobs):
+    for trace in _execute_all(jobs, args.jobs):
         path = out / f"{trace.label}.csv"
         _write_atomic(path, trace_csv(trace, live_timing=config.timing == "live"))
         status = f"diverged at step {trace.diverged_step}" if trace.diverged else "ok"
@@ -214,9 +213,9 @@ def _execute_tail(job: RunJob) -> tuple[bool, Optional[analysis.TailStats]]:
 
 
 def cmd_sweep(config: ExperimentConfig, args, multi: bool) -> int:
+    setup = _setup(config, args, config.solvers)
     if len(config.grid) < 3:
         print("[sweep] warning: fewer than 3 grid points; slopes are not fitted", file=sys.stderr)
-    setup = _setup(config, args, config.solvers)
     jobs = [
         RunJob(config, setup.dataset, s, h, steps, setup.x0, config.gap_flag())
         for s in config.solvers
@@ -226,7 +225,7 @@ def cmd_sweep(config: ExperimentConfig, args, multi: bool) -> int:
     lines = [SWEEP_HEADER]
     table: dict[str, dict[float, Optional[analysis.TailStats]]] = {}
     any_diverged = False
-    for (diverged, t), job in zip(_execute_all(jobs, setup.n_jobs, _execute_tail), jobs):
+    for (diverged, t), job in zip(_execute_all(jobs, args.jobs, _execute_tail), jobs):
         any_diverged |= diverged
         table.setdefault(job.solver.label, {})[job.h] = t
         lines.append(
@@ -441,20 +440,26 @@ def cmd_check(config: ExperimentConfig, args, multi: bool) -> int:
         oracles = sorted({oracle for _, row in rows for oracle in row.oracles})
         setup = _setup(config, args, planned, oracles)
 
+    # One run per (solver, h, steps), however many rows read it: it records gaps
+    # if one of those rows reads the optimum, and f_corr if one halves the period.
+    jobs = {}
+    for (_, row), solvers in zip(rows, plan):
+        for group in _groups(row, setup.grid) if solvers else []:
+            for solver in solvers:
+                for h, steps in group:
+                    job = jobs.setdefault((solver, h, steps), RunJob(
+                        config, setup.dataset, solver, h, steps, setup.x0, gap=False))
+                    job.gap |= "optimum" in row.oracles
+                    job.f_corr |= row.periods == "halved"
+    traces = dict(zip(jobs, _execute_all(list(jobs.values()), args.jobs)))
+
     outcomes = []    # (check, target, passed, value, detail)
     for (name, row), solvers in zip(rows, plan):
         if not row.solvers:
             outcomes += [(name, *outcome) for outcome in row.measure(config, setup)]
             continue
-        # A row that reads the optimum records gaps; a halved period, f_corr.
-        measured = [(solver, group) for group in _groups(row, setup.grid) for solver in solvers]
-        traces = _execute_all([
-            RunJob(config, setup.dataset, solver, h, steps, setup.x0,
-                   gap="optimum" in row.oracles, f_corr=row.periods == "halved")
-            for solver, group in measured for h, steps in group
-        ], setup.n_jobs)
-        for solver, group in measured:
-            runs = [(h, steps, next(traces)) for h, steps in group]
+        for solver, group in [(s, g) for g in _groups(row, setup.grid) for s in solvers]:
+            runs = [(h, steps, traces[solver, h, steps]) for h, steps in group]
             target = solver.label + (f"@h={group[0][0]:g}" if row.periods == "every" else "")
             diverged = [(h, trace) for h, _, trace in runs if trace.diverged]
             if diverged:

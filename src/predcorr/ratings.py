@@ -121,8 +121,15 @@ def _parse_lines(path) -> tuple[Array, Array, Array, Array]:
     parse's peak memory.
     """
     users, items, values, stamps = array("q"), array("q"), array("d"), array("q")
-    with open(path, "r", encoding="utf-8") as fh:
+    # A byte that is not UTF-8 is read as a lone surrogate, and decoded again
+    # strictly, line by line, so that its error names the line.
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, raw in enumerate(fh, start=1):
+            if not raw.isascii():
+                try:
+                    raw.encode("utf-8", "surrogateescape").decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from None
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue

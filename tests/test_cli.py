@@ -3,6 +3,7 @@ import dataclasses
 import io
 import re
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -112,6 +113,9 @@ beta = 5
 zeta = 10
 delta = 1e-10
 """
+
+
+FINGERPRINTS = Path(__file__).parent / "fingerprints"
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -291,12 +295,15 @@ class TestMalformedNumbers:
              "unknown check 'gradient'"),
             ("check", "toy", "seed = 0", "seed = 0\nchecks = gradient", None,
              "unknown check 'gradient'"),
+            # a one-period sweep fits no slopes, but its warning follows the set-up
+            ("sweep", "toy", "x0 = 8.0", "x0 = 1, 2", None, "x0 has 2 components"),
         ],
         ids=[
             "mf_latent_dim", "synth_users", "trials", "negative_mu", "mu_above_L1",
             "malformed_ratings_line", "ratings_directory", "diverging_warm_start",
             "pl_envelope_zero_mu", "mf_lipschitz_optimum", "prediction_gap_no_solver",
             "post_convergence_zero_L1", "run_unknown_check", "check_unknown_check",
+            "sweep_bad_x0",
         ],
     )
     def test_range_and_input_errors(self, tmp_path, capsys, verb, base, old, new, ratings, key):
@@ -867,6 +874,24 @@ beta = 1.0
         labels = ["tvgd", "tvgd", "foa_min", "foa_min", "cp", "cp"]
         assert [trace.label for trace in returned] == labels
         assert [trace.t[1] for trace in returned] == [0.05, 0.025] * 3
+
+    @pytest.mark.parametrize("name, labels", [
+        ("check_linreg", ["tvgd", "tvgd_c2"] * 2 + ["foa_min"] * 2 + ["cp"] * 2),
+        ("check_diverging", ["tvgd"] * 2 + ["cp"] * 2),
+    ])
+    def test_check_runs_each_solver_period_once(self, tmp_path, in_process_pool, name, labels):
+        # The rows of check_linreg read 15 runs and those of check_diverging 7,
+        # but each distinct (solver, h, steps) is made once, in one pool for the
+        # whole command; tvgd's runs at both periods, read by pl_envelope and
+        # prediction_gap, record gaps and f_corr.
+        asked, returned = in_process_pool
+        cfg = str(FINGERPRINTS / f"{name}.ini")
+        code = main(["check", "--config", cfg, "--out", str(tmp_path / "o"), "--jobs", "8"])
+        assert code == EXIT_CHECK_FAILED
+        assert asked == [len(labels)]
+        assert [trace.label for trace in returned] == labels
+        tvgd = [trace for trace in returned if trace.label == "tvgd"]
+        assert all(trace.gap is not None and trace.f_corr is not None for trace in tvgd)
 
     def test_missing_checks_key_is_usage_error(self, tmp_path):
         cfg = write_config(tmp_path, TOY_RUN)

@@ -107,6 +107,14 @@ class TestLoadRatings:
         with pytest.raises(ValueError, match=r"ratings\.csv:3: "):
             load_ratings(path)
 
+    @pytest.mark.parametrize("line", [b"1,\xff,2.0,6", b"1,2,2.0,6  # caf\xe9"],
+                             ids=["in_a_field", "in_a_comment"])
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, line):
+        path = tmp_path / "ratings.csv"
+        path.write_bytes(b"1,1,1.0,5\r" + line + b"\n")   # a lone CR ends line 1
+        with pytest.raises(ValueError, match=r"ratings\.csv:2: 'utf-8' codec can't decode byte 0x"):
+            load_ratings(path)
+
 
 def reference_parse(text):
     """The ratings grammar, one line at a time: rows in file order."""
